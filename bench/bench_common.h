@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,13 +38,31 @@
 
 namespace adamgnn::bench {
 
+// Strictly parsed env overrides: a malformed value (ADAMGNN_BENCH_SEEDS=abc)
+// exits 2 naming the variable instead of silently reading 0.
+[[noreturn]] inline void BadEnvValue(const char* name, const char* value,
+                                     const std::string& why) {
+  std::fprintf(stderr, "invalid value for %s: \"%s\" (%s)\n", name, value,
+               why.c_str());
+  std::exit(2);
+}
 inline double EnvDouble(const char* name, double fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
+  if (v == nullptr) return fallback;
+  const util::Result<double> parsed = util::ParseDouble(v);
+  if (!parsed.ok()) BadEnvValue(name, v, parsed.status().message());
+  return parsed.ValueOrDie();
 }
 inline int EnvInt(const char* name, int fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  if (v == nullptr) return fallback;
+  const util::Result<int64_t> parsed = util::ParseInt(v);
+  if (!parsed.ok()) BadEnvValue(name, v, parsed.status().message());
+  if (parsed.ValueOrDie() < std::numeric_limits<int>::min() ||
+      parsed.ValueOrDie() > std::numeric_limits<int>::max()) {
+    BadEnvValue(name, v, "out of int range");
+  }
+  return static_cast<int>(parsed.ValueOrDie());
 }
 
 struct BenchSettings {

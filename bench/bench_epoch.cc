@@ -29,6 +29,8 @@
 //   --hidden=N    model hidden width (default 64)
 //   --repeats=N   interleaved rounds per configuration (default 3)
 //   --threads=N   kernel pool size (default 4; see EpochBenchConfig)
+//                 Numeric values must be positive integers; a malformed
+//                 one (--nodes=abc) exits 2.
 //   --isa=NAME    force the kernel ISA (scalar|sse2|avx2); exits 1 if the
 //                 CPU cannot run it. Default: ADAMGNN_ISA env or the best
 //                 supported.
@@ -36,7 +38,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +57,7 @@
 #include "tensor/workspace.h"
 #include "train/node_trainer.h"
 #include "util/random.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace adamgnn {
@@ -403,10 +408,25 @@ int Run(const EpochBenchConfig& cfg, const std::string& json_path,
   return 0;
 }
 
+// Strict value of a positive-integer flag: --nodes=abc, --epochs=0 or an
+// out-of-range value exits 2 naming the flag, as the CLIs do.
+int PositiveArgOrDie(const char* flag, const char* text) {
+  const util::Result<int64_t> parsed = util::ParseInt(text);
+  if (!parsed.ok() || parsed.ValueOrDie() < 1 ||
+      parsed.ValueOrDie() > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "invalid value for %s: \"%s\" (%s)\n", flag, text,
+                 parsed.ok() ? "must be a positive int"
+                             : parsed.status().message().c_str());
+    std::exit(2);
+  }
+  return static_cast<int>(parsed.ValueOrDie());
+}
+
 }  // namespace
 }  // namespace adamgnn
 
 int main(int argc, char** argv) {
+  using adamgnn::PositiveArgOrDie;
   adamgnn::EpochBenchConfig cfg;
   std::string json_path = "BENCH_epoch.json";
   bool smoke = false;
@@ -422,17 +442,17 @@ int main(int argc, char** argv) {
       cfg.avg_degree = 8;
       cfg.repeats = 1;
     } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      cfg.nodes = static_cast<size_t>(std::atol(argv[i] + 8));
+      cfg.nodes = PositiveArgOrDie("--nodes", argv[i] + 8);
     } else if (std::strncmp(argv[i], "--epochs=", 9) == 0) {
-      cfg.epochs = std::atoi(argv[i] + 9);
+      cfg.epochs = PositiveArgOrDie("--epochs", argv[i] + 9);
     } else if (std::strncmp(argv[i], "--degree=", 9) == 0) {
-      cfg.avg_degree = static_cast<size_t>(std::atol(argv[i] + 9));
+      cfg.avg_degree = PositiveArgOrDie("--degree", argv[i] + 9);
     } else if (std::strncmp(argv[i], "--hidden=", 9) == 0) {
-      cfg.hidden_dim = static_cast<size_t>(std::atol(argv[i] + 9));
+      cfg.hidden_dim = PositiveArgOrDie("--hidden", argv[i] + 9);
     } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-      cfg.repeats = std::atoi(argv[i] + 10);
+      cfg.repeats = PositiveArgOrDie("--repeats", argv[i] + 10);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      cfg.threads = std::atoi(argv[i] + 10);
+      cfg.threads = PositiveArgOrDie("--threads", argv[i] + 10);
     } else if (std::strncmp(argv[i], "--isa=", 6) == 0) {
       adamgnn::tensor::Isa isa;
       if (!adamgnn::tensor::ParseIsa(argv[i] + 6, &isa)) {

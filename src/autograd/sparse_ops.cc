@@ -163,6 +163,9 @@ Variable SpMMTranspose(std::shared_ptr<const graph::SparseMatrix> s,
                                       }));
 }
 
+namespace {
+
+// The forward kernel of SpMMValues (same deterministic chunking).
 Matrix SpMMValuesForward(const SparsePattern& pattern, const Matrix& values,
                          const Matrix& x) {
   ADAMGNN_CHECK_EQ(values.rows(), pattern.nnz());
@@ -177,6 +180,8 @@ Matrix SpMMValuesForward(const SparsePattern& pattern, const Matrix& values,
   }
   return out;
 }
+
+}  // namespace
 
 Variable SpMMValues(std::shared_ptr<const SparsePattern> pattern,
                     const Variable& values, const Variable& x) {

@@ -69,14 +69,6 @@ Variable SpMMTranspose(std::shared_ptr<const graph::SparseMatrix> s,
 Variable SpMMValues(std::shared_ptr<const SparsePattern> pattern,
                     const Variable& values, const Variable& x);
 
-/// Raw forward of SpMMValues on plain matrices — the exact kernel the
-/// differentiable op runs (same deterministic chunking), exposed for
-/// tape-free inference so its outputs are bitwise-identical to training-time
-/// eval. `values` must be (nnz x 1) aligned with `pattern`.
-tensor::Matrix SpMMValuesForward(const SparsePattern& pattern,
-                                 const tensor::Matrix& values,
-                                 const tensor::Matrix& x);
-
 }  // namespace adamgnn::autograd
 
 #endif  // ADAMGNN_AUTOGRAD_SPARSE_OPS_H_

@@ -24,6 +24,7 @@
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace adamgnn::core {
 
@@ -113,6 +114,33 @@ class AdamGnn : public nn::Module {
                              const autograd::Variable& features, bool training,
                              util::Rng* rng) const;
 
+  /// Eq. 1 primary representations H_0 = dropout(ReLU(GCN(Â, X))).
+  autograd::Variable PrimaryRepresentations(
+      const std::shared_ptr<const graph::SparseMatrix>& norm_adj,
+      const autograd::Variable& x, bool training, util::Rng* rng) const;
+
+  /// The one multi-grained pipeline every forward runs, training and
+  /// serving alike: up to `max_levels` pooling levels (Eqs. 2–3, S_kᵀÂS_k,
+  /// level GCN) from the primary representations `h0` over the level-0
+  /// `adjacency` / `level0` topology, unpooling, flyback (Eq. 4) and the
+  /// node head. Deeper levels enumerate ego-networks at radius `lambda`;
+  /// `level0` must have been built at the same radius. Forward passes the
+  /// config's λ and K; a degraded serving session passes smaller ones.
+  ///
+  /// With `loss_graph` set, γ·L_KL + δ·L_R over it land in out->aux_loss,
+  /// drawn before the node head's dropout mask (the RNG order training has
+  /// always used). Serving passes null: no aux loss and, in eval mode, no
+  /// RNG draw at all, so `rng` may then be null.
+  ///
+  /// Polls util::CheckCancel() at every level phase; a fired token returns
+  /// its status with *out partial. Without a token it always returns OK.
+  /// Run under autograd::NoGradGuard to skip the tape; values are the same.
+  util::Status Cascade(const graph::SparseMatrix& adjacency,
+                       const LevelTopology& level0,
+                       const autograd::Variable& h0, int lambda,
+                       int max_levels, bool training, util::Rng* rng,
+                       const graph::Graph* loss_graph, Output* out) const;
+
   /// Graph-classification logits from a forward output over a batched graph:
   /// readout = [mean ‖ max] of embeddings per member graph, then a linear
   /// head. `node_to_graph` comes from graph::GraphBatch.
@@ -124,15 +152,7 @@ class AdamGnn : public nn::Module {
 
   const AdamGnnConfig& config() const { return config_; }
 
-  // Submodule accessors, used by the tape-free InferenceSession to snapshot
-  // frozen weights.
-  const nn::GcnConv& input_conv() const { return *input_conv_; }
-  const FitnessScorer& fitness(size_t k) const { return *fitness_[k]; }
-  const HyperFeatureInit& hyper_init(size_t k) const { return *hyper_init_[k]; }
-  const nn::GcnConv& level_conv(size_t k) const { return *level_convs_[k]; }
-  const FlybackAggregator& flyback() const { return *flyback_; }
-  /// May be null (link-prediction mode has no classification heads).
-  const nn::Linear* node_head() const { return node_head_.get(); }
+  /// Null without classification heads (link-prediction mode).
   const nn::Linear* graph_head() const { return graph_head_.get(); }
 
  private:

@@ -1,8 +1,29 @@
 #include "core/adapters.h"
 
+#include <utility>
+
 #include "util/logging.h"
 
 namespace adamgnn::core {
+
+namespace {
+
+// Forward(training=false) without the auxiliary losses: the same logits and
+// embeddings, but no dropout and no RNG draw. Call under NoGradGuard.
+AdamGnn::Output EvalForward(const AdamGnn& model, const GraphPlan& plan) {
+  AdamGnn::Output out;
+  model
+      .Cascade(plan.adjacency(), plan.level0(),
+               model.PrimaryRepresentations(plan.norm_adj(),
+                                            plan.feature_constant(),
+                                            /*training=*/false, nullptr),
+               plan.lambda(), model.config().num_levels, /*training=*/false,
+               /*rng=*/nullptr, /*loss_graph=*/nullptr, &out)
+      .CheckOK();
+  return out;
+}
+
+}  // namespace
 
 const std::shared_ptr<const GraphPlan>& PlanCache::For(const graph::Graph& g) {
   const uint64_t fp = GraphPlan::Fingerprint(g);
@@ -29,16 +50,12 @@ train::NodeModel::Out AdamGnnNodeModel::Forward(const graph::Graph& g,
 
 train::NodeModel::Out AdamGnnNodeModel::Evaluate(const graph::Graph& g,
                                                  util::Rng* rng) {
-  (void)rng;  // the session consumes no randomness
-  if (session_ == nullptr) {
-    session_ = std::make_unique<InferenceSession>(model_);
-  } else {
-    session_->RefreshWeights(model_);
-  }
-  const InferenceSession::Result& r = session_->Run(plans_.For(g));
-  last_attention_ = r.flyback_attention;
-  last_levels_ = r.levels;
-  return {autograd::Variable::Constant(r.logits), autograd::Variable()};
+  (void)rng;  // the eval forward consumes no randomness
+  autograd::NoGradGuard no_grad;
+  AdamGnn::Output out = EvalForward(model_, *plans_.For(g));
+  last_attention_ = std::move(out.flyback_attention);
+  last_levels_ = std::move(out.levels);
+  return {out.logits, autograd::Variable()};
 }
 
 std::vector<autograd::Variable> AdamGnnNodeModel::Parameters() const {
@@ -63,16 +80,9 @@ train::EmbeddingModel::Out AdamGnnEmbeddingModel::Forward(
 train::EmbeddingModel::Out AdamGnnEmbeddingModel::Evaluate(
     const graph::Graph& g, util::Rng* rng) {
   (void)rng;
-  if (session_ == nullptr) {
-    session_ = std::make_unique<InferenceSession>(model_);
-  } else {
-    session_->RefreshWeights(model_);
-  }
-  const InferenceSession::Result& r = session_->Run(plans_.For(g));
-  tensor::Matrix projected = nn::Linear::ForwardValues(
-      r.embeddings, projection_.weight().value(), tensor::Matrix());
-  return {autograd::Variable::Constant(std::move(projected)),
-          autograd::Variable()};
+  autograd::NoGradGuard no_grad;
+  AdamGnn::Output out = EvalForward(model_, *plans_.For(g));
+  return {projection_.Forward(out.embeddings), autograd::Variable()};
 }
 
 std::vector<autograd::Variable> AdamGnnEmbeddingModel::Parameters() const {
@@ -102,15 +112,10 @@ train::GraphModel::Out AdamGnnGraphModel::Forward(
 train::GraphModel::Out AdamGnnGraphModel::Evaluate(
     const graph::GraphBatch& batch, util::Rng* rng) {
   (void)rng;
-  if (session_ == nullptr) {
-    session_ = std::make_unique<InferenceSession>(model_);
-  } else {
-    session_->RefreshWeights(model_);
-  }
-  auto plan = GraphPlan::Build(batch.merged, model_.config().lambda);
-  tensor::Matrix logits =
-      session_->GraphLogits(plan, batch.node_to_graph, batch.num_graphs());
-  return {autograd::Variable::Constant(std::move(logits)),
+  autograd::NoGradGuard no_grad;
+  AdamGnn::Output out = EvalForward(
+      model_, *GraphPlan::Build(batch.merged, model_.config().lambda));
+  return {model_.GraphLogits(out, batch.node_to_graph, batch.num_graphs()),
           autograd::Variable()};
 }
 

@@ -1,5 +1,7 @@
 // Adapters exposing core::AdamGnn through the task interfaces the trainers
-// and benches consume.
+// and benches consume. Evaluate runs the model's own forward under
+// autograd::NoGradGuard, minus the auxiliary losses: bitwise the logits of
+// Forward(training=false), with no tape and no RNG draw.
 
 #ifndef ADAMGNN_CORE_ADAPTERS_H_
 #define ADAMGNN_CORE_ADAPTERS_H_
@@ -9,7 +11,6 @@
 
 #include "core/adamgnn_model.h"
 #include "core/graph_plan.h"
-#include "core/inference_session.h"
 #include "nn/linear.h"
 #include "train/interfaces.h"
 
@@ -33,9 +34,7 @@ class AdamGnnNodeModel final : public train::NodeModel {
   AdamGnnNodeModel(const AdamGnnConfig& config, util::Rng* rng);
 
   Out Forward(const graph::Graph& g, bool training, util::Rng* rng) override;
-  /// Tape-free eval through a frozen-weight InferenceSession; bitwise
-  /// identical logits to Forward(training=false), no autograd allocation,
-  /// and no RNG consumption (eval stops drawing recon-loss negatives).
+  /// Eval-mode forward without aux losses; see the file comment.
   Out Evaluate(const graph::Graph& g, util::Rng* rng) override;
   std::vector<autograd::Variable> Parameters() const override;
 
@@ -47,7 +46,6 @@ class AdamGnnNodeModel final : public train::NodeModel {
  private:
   AdamGnn model_;
   PlanCache plans_;
-  std::unique_ptr<InferenceSession> session_;
   tensor::Matrix last_attention_;
   std::vector<LevelInfo> last_levels_;
 };
@@ -57,15 +55,13 @@ class AdamGnnEmbeddingModel final : public train::EmbeddingModel {
   AdamGnnEmbeddingModel(const AdamGnnConfig& config, util::Rng* rng);
 
   Out Forward(const graph::Graph& g, bool training, util::Rng* rng) override;
-  /// Tape-free eval (see AdamGnnNodeModel::Evaluate); the projection is
-  /// applied on raw matrices through nn::Linear::ForwardValues.
+  /// Projected eval embeddings; see the file comment.
   Out Evaluate(const graph::Graph& g, util::Rng* rng) override;
   std::vector<autograd::Variable> Parameters() const override;
 
  private:
   AdamGnn model_;
   PlanCache plans_;
-  std::unique_ptr<InferenceSession> session_;
   // Linear decoder projection: AdamGNN's H is elementwise non-negative
   // (ReLU outputs mixed through non-negative assignment weights), which a
   // dot-product decoder cannot rank well; the projection restores a full
@@ -81,14 +77,13 @@ class AdamGnnGraphModel final : public train::GraphModel {
 
   Out Forward(const graph::GraphBatch& batch, bool training,
               util::Rng* rng) override;
-  /// Tape-free eval over a batched graph. Batches are ephemeral, so each
-  /// call builds a throwaway plan (no fingerprint cache).
+  /// Eval-mode graph logits; see the file comment. Batches are ephemeral,
+  /// so each call builds a throwaway plan (no fingerprint cache).
   Out Evaluate(const graph::GraphBatch& batch, util::Rng* rng) override;
   std::vector<autograd::Variable> Parameters() const override;
 
  private:
   AdamGnn model_;
-  std::unique_ptr<InferenceSession> session_;
 };
 
 }  // namespace adamgnn::core

@@ -3,18 +3,17 @@
 #include <utility>
 
 #include "autograd/ops.h"
-#include "tensor/kernels.h"
 #include "util/logging.h"
 
 namespace adamgnn::core {
 
-AssignmentStructure BuildAssignmentStructure(const EgoPairs& pairs,
-                                             const Selection& selection) {
+Assignment BuildAssignment(const EgoPairs& pairs, const Selection& selection,
+                           const FitnessScorer::Scores& scores) {
   const size_t n_prev = pairs.num_nodes;
   const size_t n_hyper = selection.num_hyper_nodes();
   ADAMGNN_CHECK_GT(n_hyper, 0u);
 
-  AssignmentStructure s;
+  Assignment s;
   s.num_ego_columns = selection.selected_egos.size();
 
   // Column index per selected ego.
@@ -54,44 +53,24 @@ AssignmentStructure BuildAssignmentStructure(const EgoPairs& pairs,
   }
   s.num_const_entries = pattern->nnz() - num_phi_entries;
   s.pattern = std::move(pattern);
+
+  autograd::Variable ones = autograd::Variable::Constant(
+      tensor::Matrix::Ones(s.num_const_entries, 1));
+  if (s.kept_pair_indices.empty()) {
+    s.values = ones;
+  } else {
+    autograd::Variable phi =
+        autograd::GatherRows(scores.pair_phi, s.kept_pair_indices);
+    s.values = autograd::ConcatRows(phi, ones);
+  }
   return s;
 }
 
-Assignment BuildAssignment(AssignmentStructure structure,
-                           const FitnessScorer::Scores& scores) {
-  Assignment asg;
-  static_cast<AssignmentStructure&>(asg) = std::move(structure);
-
-  autograd::Variable ones = autograd::Variable::Constant(
-      tensor::Matrix::Ones(asg.num_const_entries, 1));
-  if (asg.kept_pair_indices.empty()) {
-    asg.values = ones;
-  } else {
-    autograd::Variable phi =
-        autograd::GatherRows(scores.pair_phi, asg.kept_pair_indices);
-    asg.values = autograd::ConcatRows(phi, ones);
-  }
-  return asg;
-}
-
-Assignment BuildAssignment(const EgoPairs& pairs, const Selection& selection,
-                           const FitnessScorer::Scores& scores) {
-  return BuildAssignment(BuildAssignmentStructure(pairs, selection), scores);
-}
-
-tensor::Matrix AssignmentValues(const AssignmentStructure& structure,
-                                const tensor::Matrix& pair_phi) {
-  tensor::Matrix ones = tensor::Matrix::Ones(structure.num_const_entries, 1);
-  if (structure.kept_pair_indices.empty()) return ones;
-  return tensor::ConcatRows(pair_phi.GatherRows(structure.kept_pair_indices),
-                            ones);
-}
-
 graph::SparseMatrix NextAdjacency(const graph::SparseMatrix& prev_adjacency,
-                                  const autograd::SparsePattern& pattern,
-                                  const tensor::Matrix& values) {
-  ADAMGNN_CHECK_EQ(prev_adjacency.rows(), pattern.rows);
-  graph::SparseMatrix s = pattern.WithValues(
+                                  const Assignment& assignment) {
+  ADAMGNN_CHECK_EQ(prev_adjacency.rows(), assignment.pattern->rows);
+  const tensor::Matrix& values = assignment.values.value();
+  graph::SparseMatrix s = assignment.pattern->WithValues(
       std::vector<double>(values.data(), values.data() + values.size()));
   // Â_{k-1} = A_{k-1} + I.
   std::vector<graph::Triplet> hat;
@@ -107,12 +86,6 @@ graph::SparseMatrix NextAdjacency(const graph::SparseMatrix& prev_adjacency,
   graph::SparseMatrix a_hat = graph::SparseMatrix::FromTriplets(
       prev_adjacency.rows(), prev_adjacency.cols(), std::move(hat));
   return s.Transposed().Multiply(a_hat).Multiply(s);
-}
-
-graph::SparseMatrix NextAdjacency(const graph::SparseMatrix& prev_adjacency,
-                                  const Assignment& assignment) {
-  return NextAdjacency(prev_adjacency, *assignment.pattern,
-                       assignment.values.value());
 }
 
 std::vector<std::vector<size_t>> AdjacencyListsFromSparse(

@@ -23,11 +23,9 @@
 
 namespace adamgnn::core {
 
-/// The weight-independent skeleton of S_k: where the nonzeros live and the
-/// index sets every consumer (values assembly, hyper feature init, unpool)
-/// gathers through. A pure function of (pairs, selection), so the inference
-/// path can reuse it across weight refreshes.
-struct AssignmentStructure {
+/// S_k: its sparsity structure, the index sets every consumer (hyper feature
+/// init, unpool) gathers through, and the differentiable values.
+struct Assignment {
   /// Sparsity structure of S_k (n_prev x n_hyper).
   std::shared_ptr<const autograd::SparsePattern> pattern;
   /// For each hyper column, the level k-1 node id of its ego / retained node.
@@ -45,42 +43,20 @@ struct AssignmentStructure {
   std::vector<size_t> member_rows;
   std::vector<size_t> ego_rows;
   std::vector<size_t> init_segments;
-};
-
-/// Builds the skeleton of S_k from the level's pairs and selection.
-AssignmentStructure BuildAssignmentStructure(const EgoPairs& pairs,
-                                             const Selection& selection);
-
-struct Assignment : AssignmentStructure {
-  /// Values aligned with `pattern` (nnz x 1); the φ entries carry gradients.
+  /// Values aligned with `pattern` (nnz x 1): the kept φ entries, which
+  /// carry gradients, then num_const_entries ones.
   autograd::Variable values;
 };
-
-/// Attaches differentiable values (kept φ entries, then constant ones) to a
-/// prebuilt skeleton.
-Assignment BuildAssignment(AssignmentStructure structure,
-                           const FitnessScorer::Scores& scores);
 
 /// Assembles S_k from the level's pairs, selection, and fitness scores.
 Assignment BuildAssignment(const EgoPairs& pairs, const Selection& selection,
                            const FitnessScorer::Scores& scores);
-
-/// Raw values column for the tape-free path: kept φ entries gathered from
-/// `pair_phi` followed by num_const_entries ones — bitwise-equal to
-/// BuildAssignment(...).values.value() at the same scores.
-tensor::Matrix AssignmentValues(const AssignmentStructure& structure,
-                                const tensor::Matrix& pair_phi);
 
 /// A_k = Sᵀ (A_prev + I) S with S's current (detached) values. Gradients do
 /// not flow through connectivity — only through features — matching the
 /// sparse-pooling convention (TopK/SAGPool do the same).
 graph::SparseMatrix NextAdjacency(const graph::SparseMatrix& prev_adjacency,
                                   const Assignment& assignment);
-
-/// Same product over an explicit values column (tape-free path).
-graph::SparseMatrix NextAdjacency(const graph::SparseMatrix& prev_adjacency,
-                                  const autograd::SparsePattern& pattern,
-                                  const tensor::Matrix& values);
 
 /// 1-hop neighbor lists of a sparse adjacency, ignoring self-loops.
 std::vector<std::vector<size_t>> AdjacencyListsFromSparse(

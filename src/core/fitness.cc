@@ -8,7 +8,6 @@
 #include "autograd/segment_ops.h"
 #include "core/graph_plan.h"
 #include "nn/init.h"
-#include "tensor/kernels.h"
 #include "util/cancel.h"
 #include "util/logging.h"
 
@@ -126,40 +125,6 @@ FitnessScorer::Scores FitnessScorer::Score(const EgoPairs& pairs,
 FitnessScorer::Scores FitnessScorer::Score(const LevelTopology& topo,
                                            const autograd::Variable& h) const {
   return ScoreImpl(topo.pairs, topo.dot_pairs, h, weight_, attention_, mode_);
-}
-
-FitnessScorer::ValueScores FitnessScorer::ScoreValues(
-    const LevelTopology& topo, const tensor::Matrix& h,
-    const tensor::Matrix& weight, const tensor::Matrix& attention,
-    FitnessMode mode) {
-  const EgoPairs& pairs = topo.pairs;
-  ADAMGNN_CHECK_GT(pairs.num_pairs(), 0u);
-  tensor::Matrix wh = tensor::MatMul(h, weight);
-  tensor::Matrix wh_member = wh.GatherRows(pairs.member);
-  tensor::Matrix wh_ego = wh.GatherRows(pairs.ego);
-
-  tensor::Matrix logits = tensor::LeakyRelu(
-      tensor::MatMul(tensor::ConcatCols(wh_member, wh_ego), attention), 0.2);
-  tensor::Matrix f_s =
-      tensor::SegmentSoftmax(logits, pairs.ego, pairs.num_nodes);
-  tensor::Matrix f_c =
-      tensor::Sigmoid(tensor::EdgeDots(h, topo.dot_pairs));
-
-  ValueScores scores;
-  switch (mode) {
-    case FitnessMode::kBoth:
-      scores.pair_phi = tensor::CwiseMul(f_s, f_c);
-      break;
-    case FitnessMode::kAttentionOnly:
-      scores.pair_phi = std::move(f_s);
-      break;
-    case FitnessMode::kSigmoidOnly:
-      scores.pair_phi = std::move(f_c);
-      break;
-  }
-  scores.ego_phi =
-      tensor::SegmentMean(scores.pair_phi, pairs.ego, pairs.num_nodes);
-  return scores;
 }
 
 std::vector<autograd::Variable> FitnessScorer::Parameters() const {

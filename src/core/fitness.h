@@ -61,19 +61,6 @@ class FitnessScorer : public nn::Module {
   /// gather list instead of rebuilding it per call).
   Scores Score(const LevelTopology& topo, const autograd::Variable& h) const;
 
-  /// Raw-matrix forwards of Score for the tape-free inference path; runs
-  /// the identical tensor kernels in the identical order, so outputs are
-  /// bitwise-equal to Score(topo, h).value() at the same weights.
-  struct ValueScores {
-    tensor::Matrix pair_phi;
-    tensor::Matrix ego_phi;
-  };
-  static ValueScores ScoreValues(const LevelTopology& topo,
-                                 const tensor::Matrix& h,
-                                 const tensor::Matrix& weight,
-                                 const tensor::Matrix& attention,
-                                 FitnessMode mode);
-
   std::vector<autograd::Variable> Parameters() const override;
 
   FitnessMode mode() const { return mode_; }

@@ -4,7 +4,6 @@
 
 #include "autograd/ops.h"
 #include "nn/init.h"
-#include "tensor/kernels.h"
 #include "util/logging.h"
 
 namespace adamgnn::core {
@@ -46,41 +45,6 @@ FlybackAggregator::Output FlybackAggregator::Aggregate(
     h = autograd::Add(h, autograd::MulColBroadcast(messages[k], beta_k));
   }
   out.h = h;
-  return out;
-}
-
-FlybackAggregator::ValueOutput FlybackAggregator::AggregateValues(
-    const tensor::Matrix& h0, const std::vector<tensor::Matrix>& messages,
-    const tensor::Matrix& weight, const tensor::Matrix& attention) {
-  ValueOutput out;
-  if (messages.empty()) {
-    out.h = h0;
-    out.attention = tensor::Matrix(h0.rows(), 0);
-    return out;
-  }
-  const size_t num_levels = messages.size();
-
-  tensor::Matrix logits;
-  for (size_t k = 0; k < num_levels; ++k) {
-    ADAMGNN_CHECK_EQ(messages[k].rows(), h0.rows());
-    tensor::Matrix level_logit = tensor::LeakyRelu(
-        tensor::MatMul(
-            tensor::ConcatCols(tensor::MatMul(messages[k], weight), h0),
-            attention),
-        0.2);
-    logits = k == 0 ? std::move(level_logit)
-                    : tensor::ConcatCols(logits, level_logit);
-  }
-  tensor::Matrix beta = tensor::SoftmaxRows(logits);
-  out.attention = beta;
-
-  tensor::Matrix h = h0;
-  for (size_t k = 0; k < num_levels; ++k) {
-    tensor::Matrix beta_k(h0.rows(), 1);
-    for (size_t r = 0; r < h0.rows(); ++r) beta_k(r, 0) = beta(r, k);
-    h = tensor::Add(h, tensor::MulColBroadcast(messages[k], beta_k));
-  }
-  out.h = std::move(h);
   return out;
 }
 

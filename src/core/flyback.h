@@ -31,17 +31,6 @@ class FlybackAggregator : public nn::Module {
   Output Aggregate(const autograd::Variable& h0,
                    const std::vector<autograd::Variable>& messages) const;
 
-  /// Raw-matrix forward of Aggregate for the tape-free inference path;
-  /// same kernels, same order, bitwise-equal output at the same weights.
-  struct ValueOutput {
-    tensor::Matrix h;
-    tensor::Matrix attention;
-  };
-  static ValueOutput AggregateValues(const tensor::Matrix& h0,
-                                     const std::vector<tensor::Matrix>& messages,
-                                     const tensor::Matrix& weight,
-                                     const tensor::Matrix& attention);
-
   std::vector<autograd::Variable> Parameters() const override;
 
   const autograd::Variable& weight() const { return weight_; }

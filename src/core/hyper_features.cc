@@ -3,7 +3,6 @@
 #include "autograd/ops.h"
 #include "autograd/segment_ops.h"
 #include "nn/init.h"
-#include "tensor/kernels.h"
 #include "util/logging.h"
 
 namespace adamgnn::core {
@@ -61,48 +60,6 @@ autograd::Variable HyperFeatureInit::Initialise(
       autograd::GatherRows(h_prev, selection.retained_nodes);
   if (num_egos == 0) return retained_feats;
   return autograd::ConcatRows(ego_feats, retained_feats);
-}
-
-tensor::Matrix HyperFeatureInit::InitialiseValues(
-    const AssignmentStructure& structure, const tensor::Matrix& pair_phi,
-    const tensor::Matrix& h_prev, const tensor::Matrix& weight,
-    const tensor::Matrix& attention) {
-  const size_t num_egos = structure.num_ego_columns;
-  const std::vector<size_t> egos(structure.hyper_to_prev.begin(),
-                                 structure.hyper_to_prev.begin() + num_egos);
-  const std::vector<size_t> retained(
-      structure.hyper_to_prev.begin() + num_egos,
-      structure.hyper_to_prev.end());
-
-  tensor::Matrix ego_feats;
-  if (num_egos > 0) ego_feats = h_prev.GatherRows(egos);
-
-  if (num_egos > 0 && !structure.kept_pair_indices.empty()) {
-    tensor::Matrix h_member = h_prev.GatherRows(structure.member_rows);
-    tensor::Matrix h_ego = h_prev.GatherRows(structure.ego_rows);
-    tensor::Matrix phi = pair_phi.GatherRows(structure.kept_pair_indices);
-
-    tensor::Matrix scaled_member = tensor::MulColBroadcast(h_member, phi);
-    tensor::Matrix logits = tensor::LeakyRelu(
-        tensor::MatMul(
-            tensor::ConcatCols(tensor::MatMul(scaled_member, weight), h_ego),
-            attention),
-        0.2);
-    tensor::Matrix alpha =
-        tensor::SegmentSoftmax(logits, structure.init_segments, num_egos);
-    tensor::Matrix weighted = tensor::MulColBroadcast(h_member, alpha);
-    tensor::Matrix member_sum =
-        tensor::SegmentSum(weighted, structure.init_segments, num_egos);
-    ego_feats = tensor::Add(ego_feats, member_sum);
-  }
-
-  if (retained.empty()) {
-    ADAMGNN_CHECK_GT(num_egos, 0u);
-    return ego_feats;
-  }
-  tensor::Matrix retained_feats = h_prev.GatherRows(retained);
-  if (num_egos == 0) return retained_feats;
-  return tensor::ConcatRows(ego_feats, retained_feats);
 }
 
 std::vector<autograd::Variable> HyperFeatureInit::Parameters() const {

@@ -32,15 +32,6 @@ class HyperFeatureInit : public nn::Module {
                                 const FitnessScorer::Scores& scores,
                                 const autograd::Variable& h_prev) const;
 
-  /// Raw-matrix forward of Initialise for the tape-free inference path;
-  /// same kernels, same order, bitwise-equal output at the same weights.
-  /// `pair_phi` is the full per-pair φ column the structure indexes into.
-  static tensor::Matrix InitialiseValues(const AssignmentStructure& structure,
-                                         const tensor::Matrix& pair_phi,
-                                         const tensor::Matrix& h_prev,
-                                         const tensor::Matrix& weight,
-                                         const tensor::Matrix& attention);
-
   std::vector<autograd::Variable> Parameters() const override;
 
   const autograd::Variable& weight() const { return weight_; }

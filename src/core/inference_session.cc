@@ -1,15 +1,14 @@
 #include "core/inference_session.h"
 
-#include <algorithm>
 #include <string>
 
-#include "autograd/sparse_ops.h"
+#include "autograd/variable.h"
 #include "graph/batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/kernels.h"
 #include "util/cancel.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "util/stopwatch.h"
 
 namespace adamgnn::core {
@@ -67,48 +66,20 @@ InferenceSession::InferenceSession(const AdamGnn& model, int lambda_override,
   ADAMGNN_CHECK_GE(max_levels, 1);
   Snapshot(model);
   // Shallow-depth serving: run fewer pooling levels at a smaller ego radius.
-  // Snapshot copied every level's weights; the forward only consults the
-  // first config_.num_levels of them, so clamping after the snapshot is
-  // enough.
+  // Both are arguments of AdamGnn::Cascade, so the overrides live only in
+  // the session's config.
   config_.lambda = lambda_override;
   if (max_levels < config_.num_levels) config_.num_levels = max_levels;
 }
 
 void InferenceSession::Snapshot(const AdamGnn& model) {
   config_ = model.config();
-  input_weight_ = model.input_conv().weight().value();
-  input_bias_ = model.input_conv().bias().value();
-  level_weights_.clear();
-  for (int k = 0; k < config_.num_levels; ++k) {
-    LevelWeights lw;
-    lw.fitness_weight = model.fitness(k).weight().value();
-    lw.fitness_attention = model.fitness(k).attention().value();
-    lw.init_weight = model.hyper_init(k).weight().value();
-    lw.init_attention = model.hyper_init(k).attention().value();
-    lw.conv_weight = model.level_conv(k).weight().value();
-    lw.conv_bias = model.level_conv(k).bias().value();
-    level_weights_.push_back(std::move(lw));
-  }
-  flyback_weight_ = model.flyback().weight().value();
-  flyback_attention_ = model.flyback().attention().value();
-  if (model.node_head() != nullptr) {
-    node_head_weight_ = model.node_head()->weight().value();
-    node_head_bias_ = model.node_head()->has_bias()
-                          ? model.node_head()->bias().value()
-                          : tensor::Matrix();
-  } else {
-    node_head_weight_ = tensor::Matrix();
-    node_head_bias_ = tensor::Matrix();
-  }
-  if (model.graph_head() != nullptr) {
-    graph_head_weight_ = model.graph_head()->weight().value();
-    graph_head_bias_ = model.graph_head()->has_bias()
-                           ? model.graph_head()->bias().value()
-                           : tensor::Matrix();
-  } else {
-    graph_head_weight_ = tensor::Matrix();
-    graph_head_bias_ = tensor::Matrix();
-  }
+  // The copy's initial weights are overwritten below, so the seed is moot.
+  util::Rng unused(0);
+  auto frozen = std::make_unique<AdamGnn>(config_, &unused);
+  const std::vector<autograd::Variable> from = model.Parameters();
+  std::vector<autograd::Variable> to = frozen->Parameters();
+  ADAMGNN_CHECK_EQ(from.size(), to.size());
 
   // Version identity: FNV-1a over every frozen matrix, shapes included so
   // structurally different checkpoints can never collide through zero-sized
@@ -122,33 +93,21 @@ void InferenceSession::Snapshot(const AdamGnn& model) {
       h *= kPrime;
     }
   };
-  auto mix_matrix = [&](const tensor::Matrix& m) {
+  for (size_t i = 0; i < from.size(); ++i) {
+    const tensor::Matrix& m = from[i].value();
+    ADAMGNN_CHECK(m.SameShape(to[i].value()));
+    to[i].mutable_value() = m;
     mix_u64(static_cast<uint64_t>(m.rows()));
     mix_u64(static_cast<uint64_t>(m.cols()));
     const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
     const size_t n = m.rows() * m.cols() * sizeof(double);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= bytes[i];
+    for (size_t b = 0; b < n; ++b) {
+      h ^= bytes[b];
       h *= kPrime;
     }
-  };
-  mix_matrix(input_weight_);
-  mix_matrix(input_bias_);
-  for (const LevelWeights& lw : level_weights_) {
-    mix_matrix(lw.fitness_weight);
-    mix_matrix(lw.fitness_attention);
-    mix_matrix(lw.init_weight);
-    mix_matrix(lw.init_attention);
-    mix_matrix(lw.conv_weight);
-    mix_matrix(lw.conv_bias);
   }
-  mix_matrix(flyback_weight_);
-  mix_matrix(flyback_attention_);
-  mix_matrix(node_head_weight_);
-  mix_matrix(node_head_bias_);
-  mix_matrix(graph_head_weight_);
-  mix_matrix(graph_head_bias_);
   weights_fingerprint_ = h;
+  model_ = std::move(frozen);
 }
 
 void InferenceSession::RefreshWeights(const AdamGnn& model) {
@@ -229,129 +188,30 @@ util::Status InferenceSession::RunUncached(const GraphPlan& plan,
   }
   ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
 
-  // Primary node representation (Eq. 1); dropout is identity in eval.
-  tensor::Matrix h0 = tensor::Relu(
-      nn::GcnConv::ForwardValues(*plan.norm_adj(), x, input_weight_,
-                                 input_bias_));
-  return RunCascade(plan.adjacency(), plan.level0(), std::move(h0),
-                    out_result);
+  autograd::NoGradGuard no_grad;
+  return RunFrom(plan.adjacency(), plan.level0(),
+                 model_->PrimaryRepresentations(plan.norm_adj(),
+                                                plan.feature_constant(),
+                                                /*training=*/false, nullptr),
+                 out_result);
 }
 
-util::Status InferenceSession::RunCascade(const graph::SparseMatrix& adjacency,
-                                          const LevelTopology& level0,
-                                          tensor::Matrix h0,
-                                          Result* out_result) const {
-  ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-  Result& out = *out_result;
-  out = Result();
-
-  // Pooling cascade — the same break conditions, selection rule, and kernel
-  // order as AdamGnn::ForwardFromFeatures in eval mode.
-  const graph::SparseMatrix* cur_adj = &adjacency;
-  const LevelTopology* cur_topo = &level0;
-  graph::SparseMatrix owned_adj;
-  LevelTopology owned_topo;
-  tensor::Matrix h_prev = h0;
-  // The S_k chain for unpooling: (pattern, values) per constructed level.
-  std::vector<std::shared_ptr<const autograd::SparsePattern>> chain_patterns;
-  std::vector<tensor::Matrix> chain_values;
-  std::vector<tensor::Matrix> messages;
-
-  for (int k = 0; k < config_.num_levels; ++k) {
-    const EgoPairs& pairs = cur_topo->pairs;
-    if (pairs.num_pairs() == 0) break;  // no edges left to pool over
-
-    const LevelWeights& lw = level_weights_[static_cast<size_t>(k)];
-    FitnessScorer::ValueScores scores = FitnessScorer::ScoreValues(
-        *cur_topo, h_prev, lw.fitness_weight, lw.fitness_attention,
-        config_.fitness_mode);
-    ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-    Selection sel =
-        SelectEgoNetworks(scores.ego_phi, cur_topo->adjacency, pairs);
-    if (sel.selected_egos.empty()) break;
-    if (sel.num_hyper_nodes() >= pairs.num_nodes) break;  // no compression
-
-    AssignmentStructure structure = BuildAssignmentStructure(pairs, sel);
-    tensor::Matrix values = AssignmentValues(structure, scores.pair_phi);
-    tensor::Matrix x_k = HyperFeatureInit::InitialiseValues(
-        structure, scores.pair_phi, h_prev, lw.init_weight,
-        lw.init_attention);
-    ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-
-    graph::SparseMatrix next_adj =
-        NextAdjacency(*cur_adj, *structure.pattern, values);
-    graph::SparseMatrix norm_next = next_adj.Normalized();
-    tensor::Matrix h_k = tensor::Relu(
-        nn::GcnConv::ForwardValues(norm_next, x_k, lw.conv_weight,
-                                   lw.conv_bias));
-    ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-
-    LevelInfo info;
-    info.num_prev_nodes = pairs.num_nodes;
-    info.num_hyper_nodes = sel.num_hyper_nodes();
-    info.num_selected_egos = sel.selected_egos.size();
-    info.num_retained = sel.retained_nodes.size();
-    info.num_covered = 0;
-    for (bool c : sel.covered) info.num_covered += c ? 1 : 0;
-    out.levels.push_back(info);
-    if (k == 0) {
-      out.level1_egos = sel.selected_egos;
-      out.level1_ego_of_node.assign(pairs.num_nodes, -1);
-      std::vector<double> best_phi(pairs.num_nodes, -1.0);
-      for (size_t e : sel.selected_egos) {
-        out.level1_ego_of_node[e] = static_cast<int64_t>(e);
-        best_phi[e] = 2.0;  // an ego always owns itself
-      }
-      for (size_t idx : structure.kept_pair_indices) {
-        const size_t member = pairs.member[idx];
-        const size_t ego = pairs.ego[idx];
-        const double phi = scores.pair_phi(idx, 0);
-        if (phi > best_phi[member]) {
-          best_phi[member] = phi;
-          out.level1_ego_of_node[member] = static_cast<int64_t>(ego);
-        }
-      }
-    }
-
-    chain_patterns.push_back(structure.pattern);
-    chain_values.push_back(std::move(values));
-    // Unpool: apply S_level … S_1 top-down, like core/unpooling.cc.
-    tensor::Matrix message = h_k;
-    for (size_t level = chain_patterns.size(); level >= 1; --level) {
-      message = autograd::SpMMValuesForward(*chain_patterns[level - 1],
-                                            chain_values[level - 1], message);
-    }
-    messages.push_back(std::move(message));
-    ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-
-    if (sel.num_hyper_nodes() < 4) break;  // pooled to (near) a point
-    owned_adj = std::move(next_adj);
-    cur_adj = &owned_adj;
-    owned_topo = LevelTopology::FromAdjacency(
-        AdjacencyListsFromSparse(owned_adj), config_.lambda);
-    cur_topo = &owned_topo;
-    // FromAdjacency's ego enumeration breaks out early once the token
-    // fires; discard the truncated topology before the next level uses it.
-    ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-    h_prev = std::move(h_k);
-  }
-
-  // Flyback aggregation (Eq. 4).
-  if (config_.use_flyback) {
-    FlybackAggregator::ValueOutput fb = FlybackAggregator::AggregateValues(
-        h0, messages, flyback_weight_, flyback_attention_);
-    out.embeddings = std::move(fb.h);
-    out.flyback_attention = std::move(fb.attention);
-  } else {
-    out.flyback_attention = tensor::Matrix(h0.rows(), 0);
-    out.embeddings = std::move(h0);
-  }
-
-  if (node_head_weight_.size() > 0) {
-    out.logits = nn::Linear::ForwardValues(out.embeddings, node_head_weight_,
-                                           node_head_bias_);
-  }
-  return util::CheckCancel();
+util::Status InferenceSession::RunFrom(const graph::SparseMatrix& adjacency,
+                                       const LevelTopology& level0,
+                                       const autograd::Variable& h0,
+                                       Result* out) const {
+  AdamGnn::Output fwd;
+  ADAMGNN_RETURN_NOT_OK(model_->Cascade(
+      adjacency, level0, h0, config_.lambda, config_.num_levels,
+      /*training=*/false, /*rng=*/nullptr, /*loss_graph=*/nullptr, &fwd));
+  out->embeddings = fwd.embeddings.value();
+  out->logits =
+      fwd.logits.defined() ? fwd.logits.value() : tensor::Matrix();
+  out->flyback_attention = std::move(fwd.flyback_attention);
+  out->levels = std::move(fwd.levels);
+  out->level1_egos = std::move(fwd.level1_egos);
+  out->level1_ego_of_node = std::move(fwd.level1_ego_of_node);
+  return util::Status::OK();
 }
 
 util::Status InferenceSession::TryRunBatch(
@@ -413,11 +273,13 @@ util::Status InferenceSession::TryRunBatch(
   // batch-level failure here fails the whole batch; the serving scheduler
   // then retries members individually).
   ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-  tensor::Matrix h0 = tensor::Relu(nn::GcnConv::ForwardValues(
-      *merged.norm_adj(), x, input_weight_, input_bias_));
+  autograd::NoGradGuard no_grad;
+  autograd::Variable h0 = model_->PrimaryRepresentations(
+      merged.norm_adj(), merged.feature_constant(), /*training=*/false,
+      nullptr);
   ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
   ADAMGNN_ASSIGN_OR_RETURN(std::vector<tensor::Matrix> h0_parts,
-                           graph::SplitRows(h0, plan->offsets()));
+                           graph::SplitRows(h0.value(), plan->offsets()));
 
   // Member phase: the weight-dependent cascade, one member at a time, each
   // under its own cancellation token. A fired token costs only its own
@@ -439,8 +301,9 @@ util::Status InferenceSession::TryRunBatch(
     std::unique_ptr<util::ScopedCancel> bind;
     if (token != nullptr) bind = std::make_unique<util::ScopedCancel>(*token);
     const BatchPlan::MemberView& view = plan->member(m);
-    item.status = RunCascade(view.adjacency, view.level0,
-                             std::move(h0_parts[m]), &item.result);
+    item.status = RunFrom(view.adjacency, view.level0,
+                          autograd::Variable::Constant(std::move(h0_parts[m])),
+                          &item.result);
   }
 
   // Memoize only fully-successful batches: a cancelled or failed member
@@ -511,15 +374,12 @@ std::vector<double> InferenceSession::ScoreLinks(
 tensor::Matrix InferenceSession::GraphLogits(
     const std::shared_ptr<const GraphPlan>& plan,
     const std::vector<size_t>& node_to_graph, size_t num_graphs) {
-  ADAMGNN_CHECK_GT(graph_head_weight_.size(), 0u);
+  ADAMGNN_CHECK(model_->graph_head() != nullptr);
   const Result& r = Run(plan);
-  ADAMGNN_CHECK_EQ(node_to_graph.size(), r.embeddings.rows());
-  tensor::Matrix mean_read =
-      tensor::SegmentMean(r.embeddings, node_to_graph, num_graphs);
-  tensor::Matrix max_read =
-      tensor::SegmentMax(r.embeddings, node_to_graph, num_graphs);
-  return nn::Linear::ForwardValues(tensor::ConcatCols(mean_read, max_read),
-                                   graph_head_weight_, graph_head_bias_);
+  autograd::NoGradGuard no_grad;
+  AdamGnn::Output out;
+  out.embeddings = autograd::Variable::Constant(r.embeddings);
+  return model_->GraphLogits(out, node_to_graph, num_graphs).value();
 }
 
 }  // namespace adamgnn::core

@@ -1,10 +1,9 @@
-// Tape-free serving path for a trained AdamGNN. An InferenceSession freezes
-// a model's parameters (deep matrix copies, decoupled from the optimizer)
-// and executes the compute phase on raw tensor::Matrix — no
-// autograd::Variable allocation, no gradient bookkeeping. Because every
-// autograd op's forward delegates to the same tensor:: kernels this session
-// calls, in the same order, session outputs are bitwise-identical to
-// Forward(training=false) at the same weights.
+// Frozen-weight serving path for a trained AdamGNN. An InferenceSession
+// holds a deep copy of a model's parameters (decoupled from the optimizer)
+// and runs the model's own forward, AdamGnn::Cascade, under
+// autograd::NoGradGuard: the same code and kernels as
+// Forward(training=false), minus the tape and the auxiliary losses, so
+// session outputs are bitwise-identical to it at the same weights.
 //
 // Caching: results are memoized per GraphPlan, so repeated queries against
 // the same graph skip the pooling cascade entirely (the dominant serving
@@ -136,41 +135,29 @@ class InferenceSession {
 
   const AdamGnnConfig& config() const { return config_; }
 
-  /// FNV-1a digest of every frozen weight matrix (shapes + raw bytes),
-  /// computed at snapshot time. Two sessions with bitwise-identical weights
-  /// have equal fingerprints; the model registry uses this as the version
-  /// identity for canary bookkeeping and rollback verification.
+  /// FNV-1a digest of every frozen parameter matrix, in Parameters() order
+  /// (shapes + raw bytes), computed at snapshot time. Two sessions with
+  /// bitwise-identical weights have equal fingerprints; the model registry
+  /// uses this as the version identity for canary bookkeeping and rollback
+  /// verification.
   uint64_t WeightsFingerprint() const { return weights_fingerprint_; }
 
   static constexpr size_t kMaxCachedPlans = 16;
 
  private:
-  struct LevelWeights {
-    tensor::Matrix fitness_weight;
-    tensor::Matrix fitness_attention;
-    tensor::Matrix init_weight;
-    tensor::Matrix init_attention;
-    tensor::Matrix conv_weight;
-    tensor::Matrix conv_bias;
-  };
-
   util::Status RunUncached(const GraphPlan& plan, Result* out) const;
-  /// The pooling cascade + flyback + node head, starting from the primary
-  /// representations h0. Shared verbatim by the single-graph path and the
-  /// per-member legs of TryRunBatch, which is what makes per-member batch
-  /// results bitwise-identical to Run by construction.
-  util::Status RunCascade(const graph::SparseMatrix& adjacency,
-                          const LevelTopology& level0, tensor::Matrix h0,
-                          Result* out) const;
+  /// AdamGnn::Cascade at the session's λ and level cap from primary
+  /// representations h0, copied out as raw matrices. Shared by the
+  /// single-graph path and the per-member legs of TryRunBatch. Call under
+  /// NoGradGuard.
+  util::Status RunFrom(const graph::SparseMatrix& adjacency,
+                       const LevelTopology& level0,
+                       const autograd::Variable& h0, Result* out) const;
   void Snapshot(const AdamGnn& model);
 
   AdamGnnConfig config_;
   uint64_t weights_fingerprint_ = 0;
-  tensor::Matrix input_weight_, input_bias_;
-  std::vector<LevelWeights> level_weights_;
-  tensor::Matrix flyback_weight_, flyback_attention_;
-  tensor::Matrix node_head_weight_, node_head_bias_;    // empty without head
-  tensor::Matrix graph_head_weight_, graph_head_bias_;  // empty without head
+  std::unique_ptr<const AdamGnn> model_;  // frozen deep copy
 
   // Result cache keyed by plan identity; the shared_ptrs keep cached plans
   // alive so a recycled address can never alias a stale entry. `order_`

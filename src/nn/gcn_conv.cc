@@ -3,7 +3,6 @@
 #include "autograd/ops.h"
 #include "autograd/sparse_ops.h"
 #include "nn/init.h"
-#include "tensor/kernels.h"
 
 namespace adamgnn::nn {
 
@@ -18,15 +17,6 @@ autograd::Variable GcnConv::Forward(
   autograd::Variable xw = autograd::MatMul(x, weight_);
   autograd::Variable propagated = autograd::SpMM(norm_adj, xw);
   return autograd::AddBias(propagated, bias_);
-}
-
-tensor::Matrix GcnConv::ForwardValues(const graph::SparseMatrix& norm_adj,
-                                      const tensor::Matrix& x,
-                                      const tensor::Matrix& weight,
-                                      const tensor::Matrix& bias) {
-  tensor::Matrix xw = tensor::MatMul(x, weight);
-  tensor::Matrix propagated = norm_adj.MultiplyDense(xw);
-  return tensor::AddRowBroadcast(propagated, bias);
 }
 
 std::vector<autograd::Variable> GcnConv::Parameters() const {

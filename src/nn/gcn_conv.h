@@ -26,14 +26,6 @@ class GcnConv : public Module {
       const std::shared_ptr<const graph::SparseMatrix>& norm_adj,
       const autograd::Variable& x) const;
 
-  /// Raw-matrix forward for the tape-free inference path: the same kernels
-  /// (MatMul, CSR SpMM, bias broadcast) in the same order, so the output is
-  /// bitwise-equal to Forward(...).value() at the same weights.
-  static tensor::Matrix ForwardValues(const graph::SparseMatrix& norm_adj,
-                                      const tensor::Matrix& x,
-                                      const tensor::Matrix& weight,
-                                      const tensor::Matrix& bias);
-
   std::vector<autograd::Variable> Parameters() const override;
 
   const autograd::Variable& weight() const { return weight_; }

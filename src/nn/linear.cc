@@ -1,7 +1,6 @@
 #include "nn/linear.h"
 
 #include "nn/init.h"
-#include "tensor/kernels.h"
 
 namespace adamgnn::nn {
 
@@ -16,14 +15,6 @@ Linear::Linear(size_t in_dim, size_t out_dim, bool use_bias, util::Rng* rng)
 autograd::Variable Linear::Forward(const autograd::Variable& x) const {
   autograd::Variable y = autograd::MatMul(x, weight_);
   if (bias_.defined()) y = autograd::AddBias(y, bias_);
-  return y;
-}
-
-tensor::Matrix Linear::ForwardValues(const tensor::Matrix& x,
-                                     const tensor::Matrix& weight,
-                                     const tensor::Matrix& bias) {
-  tensor::Matrix y = tensor::MatMul(x, weight);
-  if (bias.size() > 0) y = tensor::AddRowBroadcast(y, bias);
   return y;
 }
 

@@ -20,13 +20,6 @@ class Linear : public Module {
   /// x: (n, in_dim) -> (n, out_dim).
   autograd::Variable Forward(const autograd::Variable& x) const;
 
-  /// Raw-matrix forward for the tape-free inference path; `bias` may be
-  /// empty (0x0) for a bias-free layer. Bitwise-equal to
-  /// Forward(...).value() at the same weights.
-  static tensor::Matrix ForwardValues(const tensor::Matrix& x,
-                                      const tensor::Matrix& weight,
-                                      const tensor::Matrix& bias);
-
   std::vector<autograd::Variable> Parameters() const override;
 
   size_t in_dim() const { return in_dim_; }

@@ -64,7 +64,7 @@ class NodeModel {
 
   /// Eval-mode forward, used for every validation/test pass. The default
   /// wraps Forward(training=false) in a NoGradGuard so no tape is recorded;
-  /// AdamGNN overrides it with a tape-free core::InferenceSession.
+  /// AdamGNN overrides it to also skip the auxiliary losses.
   /// Evaluation only consumes logit values, so overrides may leave aux_loss
   /// undefined and ignore `rng`.
   virtual Out Evaluate(const graph::Graph& g, util::Rng* rng) {

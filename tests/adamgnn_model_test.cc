@@ -217,5 +217,76 @@ TEST_P(LevelSweep, ModelRunsWithKLevels) {
 
 INSTANTIATE_TEST_SUITE_P(Levels, LevelSweep, ::testing::Values(1, 2, 3, 4, 5));
 
+// The adapters' Evaluate must reproduce Forward(training=false) bit for bit
+// while leaving the caller's RNG untouched: eval-mode Forward draws
+// reconstruction-loss negatives, Evaluate skips the auxiliary losses.
+AdamGnnConfig EvalConfig(size_t in_dim, size_t classes) {
+  AdamGnnConfig c = SmallConfig(in_dim, classes);
+  c.num_levels = 3;
+  c.dropout = 0.3;  // must be inert in both eval paths
+  return c;
+}
+
+TEST(AdapterEvaluateTest, NodeModelMatchesEvalForwardWithoutRngDraws) {
+  graph::Graph g = Ring(40, 6, 101);
+  util::Rng rng(21);
+  AdamGnnNodeModel model(EvalConfig(6, 3), &rng);
+  util::Rng frng(22);
+  train::NodeModel::Out ref = model.Forward(g, /*training=*/false, &frng);
+  const Matrix ref_attention = model.last_attention();
+  ASSERT_GT(model.last_levels().size(), 0u);
+
+  util::Rng erng(23);
+  const std::vector<uint64_t> before = erng.SaveState();
+  train::NodeModel::Out got = model.Evaluate(g, &erng);
+  EXPECT_EQ(erng.SaveState(), before);
+  EXPECT_TRUE(got.logits.value() == ref.logits.value());
+  EXPECT_FALSE(got.logits.requires_grad());
+  EXPECT_FALSE(got.aux_loss.defined());
+  EXPECT_TRUE(model.last_attention() == ref_attention);
+}
+
+TEST(AdapterEvaluateTest, EmbeddingModelMatchesEvalForwardWithoutRngDraws) {
+  graph::Graph g = Ring(40, 6, 102);
+  util::Rng rng(24);
+  AdamGnnEmbeddingModel model(EvalConfig(6, 0), &rng);
+  util::Rng frng(25);
+  train::EmbeddingModel::Out ref = model.Forward(g, false, &frng);
+
+  util::Rng erng(26);
+  const std::vector<uint64_t> before = erng.SaveState();
+  train::EmbeddingModel::Out got = model.Evaluate(g, &erng);
+  EXPECT_EQ(erng.SaveState(), before);
+  EXPECT_TRUE(got.embeddings.value() == ref.embeddings.value());
+  EXPECT_FALSE(got.embeddings.requires_grad());
+}
+
+TEST(AdapterEvaluateTest, GraphModelMatchesEvalForwardWithoutRngDraws) {
+  util::Rng rng(27);
+  graph::GraphBuilder b1(7), b2(9);
+  for (int i = 0; i + 1 < 7; ++i) b1.AddEdge(i, i + 1).CheckOK();
+  for (int i = 0; i + 1 < 9; ++i) b2.AddEdge(i, i + 1).CheckOK();
+  b1.AddEdge(0, 6).CheckOK();
+  b2.AddEdge(0, 4).CheckOK();
+  b1.SetFeatures(Matrix::Gaussian(7, 3, 1.0, &rng)).CheckOK();
+  b2.SetFeatures(Matrix::Gaussian(9, 3, 1.0, &rng)).CheckOK();
+  b1.SetGraphLabel(0);
+  b2.SetGraphLabel(1);
+  graph::Graph g1 = std::move(b1).Build().ValueOrDie();
+  graph::Graph g2 = std::move(b2).Build().ValueOrDie();
+  graph::GraphBatch batch = graph::MakeBatch({&g1, &g2}).ValueOrDie();
+
+  AdamGnnGraphModel model(EvalConfig(3, 0), 2, &rng);
+  util::Rng frng(28);
+  train::GraphModel::Out ref = model.Forward(batch, false, &frng);
+
+  util::Rng erng(29);
+  const std::vector<uint64_t> before = erng.SaveState();
+  train::GraphModel::Out got = model.Evaluate(batch, &erng);
+  EXPECT_EQ(erng.SaveState(), before);
+  EXPECT_TRUE(got.logits.value() == ref.logits.value());
+  EXPECT_FALSE(got.logits.requires_grad());
+}
+
 }  // namespace
 }  // namespace adamgnn::core

@@ -2,11 +2,12 @@
 // be bitwise identical to AdamGnn::Forward(training=false) at the same
 // weights — across tasks (node / link / graph), thread counts, and the
 // warm-vs-cold plan cache. Comparisons use Matrix::operator== (exact
-// doubles), not AllClose: the two paths call the same tensor:: kernels in
-// the same order, so any drift is a bug.
+// doubles), not AllClose: the session runs the model's own forward under
+// NoGradGuard, so any drift is a bug.
 
 #include "core/inference_session.h"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -231,6 +232,45 @@ TEST(InferenceSessionTest, PlanBasedForwardMatchesThrowawayPlan) {
   EXPECT_TRUE(a.embeddings.value() == b.embeddings.value());
   EXPECT_TRUE(a.logits.value() == b.logits.value());
   EXPECT_TRUE(a.flyback_attention == b.flyback_attention);
+}
+
+TEST(InferenceSessionTest, WeightsFingerprintSeesOneUlpInAnyParameter) {
+  util::Rng rng(30);
+  AdamGnnConfig c = SmallConfig(4, 2);  // node and graph heads both exist
+  AdamGnn model(c, &rng);
+  std::vector<autograd::Variable> params = model.Parameters();
+  ASSERT_NE(model.graph_head(), nullptr);
+  EXPECT_EQ(params.back().node(), model.graph_head()->bias().node());
+
+  const uint64_t base = InferenceSession(model).WeightsFingerprint();
+  for (size_t i = 0; i < params.size(); ++i) {
+    Matrix& m = params[i].mutable_value();
+    for (size_t e : {size_t{0}, m.size() - 1}) {
+      const double saved = m.data()[e];
+      m.data()[e] = std::nextafter(saved, 1e300);
+      EXPECT_NE(InferenceSession(model).WeightsFingerprint(), base)
+          << "parameter " << i << " element " << e;
+      m.data()[e] = saved;
+    }
+  }
+  EXPECT_EQ(InferenceSession(model).WeightsFingerprint(), base);
+}
+
+TEST(InferenceSessionTest, WeightsFingerprintAgreesOverEqualWeights) {
+  AdamGnnConfig c = SmallConfig(4, 2);
+  util::Rng r1(31), r2(31), r3(32);
+  AdamGnn a(c, &r1), twin(c, &r2), other(c, &r3);
+  const uint64_t fp = InferenceSession(a).WeightsFingerprint();
+  EXPECT_EQ(InferenceSession(twin).WeightsFingerprint(), fp);
+  // A degraded session freezes the same weights.
+  EXPECT_EQ(InferenceSession(a, /*lambda_override=*/1, /*max_levels=*/1)
+                .WeightsFingerprint(),
+            fp);
+
+  InferenceSession session(other);
+  EXPECT_NE(session.WeightsFingerprint(), fp);
+  session.RefreshWeights(twin);
+  EXPECT_EQ(session.WeightsFingerprint(), fp);
 }
 
 }  // namespace

@@ -72,6 +72,7 @@
 #include "core/adamgnn_model.h"
 #include "nn/linear.h"
 #include "nn/serialize.h"
+#include "tensor/kernels.h"
 #include "serve/lifecycle.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
@@ -684,8 +685,8 @@ int main(int argc, char** argv) {
     }
   } else {
     // Decoder-space link scores for every edge of the input graph.
-    tensor::Matrix h = nn::Linear::ForwardValues(
-        result.embeddings, projection.weight().value(), tensor::Matrix());
+    tensor::Matrix h =
+        tensor::MatMul(result.embeddings, projection.weight().value());
     for (graph::NodeId u = 0; static_cast<size_t>(u) < g.num_nodes(); ++u) {
       for (graph::NodeId v : g.Neighbors(u)) {
         if (v < u) continue;  // each undirected edge once

@@ -8,6 +8,8 @@
 # deadlines and allocation faults. The last two legs soak the hot-swap
 # machinery: a deterministic seeded chaos run under ASan and TSan, and a
 # live serve-loop drilled through reload, rollback, and SIGTERM drain.
+# A final leg runs the repo benchmark's serve_fresh workload, whose
+# responses must match a fresh session bitwise.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -118,6 +120,17 @@ if ./build/tools/adamgnn_train --task=nc --synthetic=cora --epochs=abc \
   exit 1
 fi
 grep -q 'invalid value for --epochs' /tmp/adamgnn_flag_err.txt
+# The benches parse their flags and env overrides the same way: exit 2.
+BENCH_RC=0
+./build/bench/bench_epoch --nodes=abc 2>/tmp/adamgnn_flag_err.txt ||
+  BENCH_RC=$?
+[[ "${BENCH_RC}" == 2 ]] || { echo "FAIL: bench --nodes=abc exit ${BENCH_RC}" >&2; exit 1; }
+grep -q 'invalid value for --nodes' /tmp/adamgnn_flag_err.txt
+BENCH_RC=0
+ADAMGNN_BENCH_SEEDS=abc ./build/bench/bench_table4_running_time \
+    2>/tmp/adamgnn_flag_err.txt || BENCH_RC=$?
+[[ "${BENCH_RC}" == 2 ]] || { echo "FAIL: ADAMGNN_BENCH_SEEDS=abc exit ${BENCH_RC}" >&2; exit 1; }
+grep -q 'invalid value for ADAMGNN_BENCH_SEEDS' /tmp/adamgnn_flag_err.txt
 rm -f /tmp/adamgnn_flag_err.txt
 
 echo "==> compile-out build (ADAMGNN_OBS=OFF)"
@@ -281,5 +294,12 @@ grep -q "serve-loop: drained answered=" "${SERVE_ERR}"
 ./build/tools/check_metrics --mode=serve --file="${SERVE_METRICS}"
 rm -f "${SERVE_MODEL_A}" "${SERVE_MODEL_B}" "${SERVE_METRICS}" \
     "${SERVE_ERR}" "${SERVE_MARKER}"
+
+echo "==> repo benchmark: serve_fresh response check"
+# The benchmark's serve_fresh workload compares a seeded sample of served
+# responses bitwise against a fresh InferenceSession and exits nonzero on
+# any mismatch or failed request, so it guards the one-forward serving path
+# end to end. perfbench/run.sh builds its own tree under .bench_build/.
+bash perfbench/run.sh --workload serve_fresh --seed 1 --seconds 5 --trace 0
 
 echo "==> all checks passed"
