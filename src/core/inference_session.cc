@@ -3,7 +3,6 @@
 #include <string>
 
 #include "autograd/variable.h"
-#include "graph/batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cancel.h"
@@ -39,23 +38,6 @@ obs::Histogram& RequestSeconds() {
       new obs::Histogram("infer.request_seconds", obs::LatencyBucketBounds());
   return *h;
 }
-obs::Counter& BatchRuns() {
-  static obs::Counter* c = new obs::Counter("infer.batch.runs");
-  return *c;
-}
-obs::Counter& BatchMembers() {
-  static obs::Counter* c = new obs::Counter("infer.batch.members");
-  return *c;
-}
-obs::Counter& BatchCacheHits() {
-  static obs::Counter* c = new obs::Counter("infer.batch.cache.hits");
-  return *c;
-}
-obs::Counter& BatchCacheMisses() {
-  static obs::Counter* c = new obs::Counter("infer.batch.cache.misses");
-  return *c;
-}
-
 }  // namespace
 
 InferenceSession::InferenceSession(const AdamGnn& model) { Snapshot(model); }
@@ -120,8 +102,6 @@ void InferenceSession::RefreshWeights(const AdamGnn& model) {
   if (num_levels < config_.num_levels) config_.num_levels = num_levels;
   cache_.clear();
   order_.clear();
-  batch_cache_.clear();
-  batch_order_.clear();
 }
 
 const InferenceSession::Result& InferenceSession::Run(
@@ -170,7 +150,7 @@ util::Status InferenceSession::TryRun(
 }
 
 util::Status InferenceSession::RunUncached(const GraphPlan& plan,
-                                           Result* out_result) const {
+                                           Result* out) const {
   if (!plan.feature_constant().defined()) {
     return util::Status::FailedPrecondition(
         "plan has no feature constant (graph without node features)");
@@ -189,20 +169,11 @@ util::Status InferenceSession::RunUncached(const GraphPlan& plan,
   ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
 
   autograd::NoGradGuard no_grad;
-  return RunFrom(plan.adjacency(), plan.level0(),
-                 model_->PrimaryRepresentations(plan.norm_adj(),
-                                                plan.feature_constant(),
-                                                /*training=*/false, nullptr),
-                 out_result);
-}
-
-util::Status InferenceSession::RunFrom(const graph::SparseMatrix& adjacency,
-                                       const LevelTopology& level0,
-                                       const autograd::Variable& h0,
-                                       Result* out) const {
+  const autograd::Variable h0 = model_->PrimaryRepresentations(
+      plan.norm_adj(), plan.feature_constant(), /*training=*/false, nullptr);
   AdamGnn::Output fwd;
   ADAMGNN_RETURN_NOT_OK(model_->Cascade(
-      adjacency, level0, h0, config_.lambda, config_.num_levels,
+      plan.adjacency(), plan.level0(), h0, config_.lambda, config_.num_levels,
       /*training=*/false, /*rng=*/nullptr, /*loss_graph=*/nullptr, &fwd));
   out->embeddings = fwd.embeddings.value();
   out->logits =
@@ -212,130 +183,6 @@ util::Status InferenceSession::RunFrom(const graph::SparseMatrix& adjacency,
   out->level1_egos = std::move(fwd.level1_egos);
   out->level1_ego_of_node = std::move(fwd.level1_ego_of_node);
   return util::Status::OK();
-}
-
-util::Status InferenceSession::TryRunBatch(
-    const std::shared_ptr<const BatchPlan>& plan,
-    const std::vector<util::CancelToken>& member_tokens,
-    std::vector<BatchItem>* out) {
-  ADAMGNN_CHECK(plan != nullptr);
-  ADAMGNN_CHECK(out != nullptr);
-  out->clear();
-  const size_t m_count = plan->num_members();
-  if (!member_tokens.empty() && member_tokens.size() != m_count) {
-    return util::Status::InvalidArgument(
-        "member token count " + std::to_string(member_tokens.size()) +
-        " != batch member count " + std::to_string(m_count));
-  }
-  const GraphPlan& merged = *plan->merged();
-  if (!merged.feature_constant().defined()) {
-    return util::Status::FailedPrecondition(
-        "batch plan has no feature constant (graphs without node features)");
-  }
-  if (merged.lambda() != config_.lambda) {
-    return util::Status::InvalidArgument(
-        "batch plan lambda " + std::to_string(merged.lambda()) +
-        " != session lambda " + std::to_string(config_.lambda));
-  }
-  const tensor::Matrix& x = merged.feature_constant().value();
-  if (x.cols() != config_.in_dim) {
-    return util::Status::InvalidArgument(
-        "feature dim " + std::to_string(x.cols()) + " != model in_dim " +
-        std::to_string(config_.in_dim));
-  }
-  BatchRuns().Add();
-  BatchMembers().Add(m_count);
-  obs::TraceSpan span("infer.batch");
-  span.Note("members", static_cast<double>(m_count));
-
-  // Recurring batch composition: the whole window is a cache hit. Like the
-  // single-graph path, a hit is served even to members whose token already
-  // fired — copying cached bits costs (nearly) nothing.
-  auto cached_it = batch_cache_.find(plan.get());
-  if (cached_it != batch_cache_.end()) {
-    BatchCacheHits().Add();
-    span.Note("cache_hit", 1.0);
-    out->resize(m_count);
-    for (size_t m = 0; m < m_count; ++m) {
-      (*out)[m].status = util::Status::OK();
-      (*out)[m].result = cached_it->second[m];
-    }
-    return util::Status::OK();
-  }
-  BatchCacheMisses().Add();
-  span.Note("cache_hit", 0.0);
-
-  // Fused phase: ONE input GCN layer over the block-diagonal union. Safe to
-  // fuse bitwise (see batch_plan.h): Â's row-gather SpMM sums each row's
-  // CSR entries in order and the GEMM accumulates each output element over
-  // its own row alone, so member rows of the merged h0 are identical to the
-  // members' single-graph h0 rows. Runs under the AMBIENT token (a
-  // batch-level failure here fails the whole batch; the serving scheduler
-  // then retries members individually).
-  ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-  autograd::NoGradGuard no_grad;
-  autograd::Variable h0 = model_->PrimaryRepresentations(
-      merged.norm_adj(), merged.feature_constant(), /*training=*/false,
-      nullptr);
-  ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
-  ADAMGNN_ASSIGN_OR_RETURN(std::vector<tensor::Matrix> h0_parts,
-                           graph::SplitRows(h0.value(), plan->offsets()));
-
-  // Member phase: the weight-dependent cascade, one member at a time, each
-  // under its own cancellation token. A fired token costs only its own
-  // member; cancellation is polled at the member's cooperative checkpoints,
-  // so other members never observe it.
-  out->resize(m_count);
-  for (size_t m = 0; m < m_count; ++m) {
-    BatchItem& item = (*out)[m];
-    const util::CancelToken* token =
-        member_tokens.empty() || !member_tokens[m].valid() ? nullptr
-                                                           : &member_tokens[m];
-    if (token != nullptr) {
-      const util::Status pre = token->Check();
-      if (!pre.ok()) {
-        item.status = pre;  // dropped before any of its work ran
-        continue;
-      }
-    }
-    std::unique_ptr<util::ScopedCancel> bind;
-    if (token != nullptr) bind = std::make_unique<util::ScopedCancel>(*token);
-    const BatchPlan::MemberView& view = plan->member(m);
-    item.status = RunFrom(view.adjacency, view.level0,
-                          autograd::Variable::Constant(std::move(h0_parts[m])),
-                          &item.result);
-  }
-
-  // Memoize only fully-successful batches: a cancelled or failed member
-  // would bake a partial window into the cache (same never-cache-partials
-  // rule as TryRun).
-  bool all_ok = true;
-  for (const BatchItem& item : *out) all_ok = all_ok && item.status.ok();
-  if (all_ok) {
-    if (batch_order_.size() >= kMaxCachedPlans) {
-      batch_cache_.erase(batch_order_.front().get());
-      batch_order_.erase(batch_order_.begin());
-    }
-    std::vector<Result> memo;
-    memo.reserve(m_count);
-    for (const BatchItem& item : *out) memo.push_back(item.result);
-    batch_order_.push_back(plan);
-    batch_cache_.emplace(plan.get(), std::move(memo));
-  }
-  return util::Status::OK();
-}
-
-std::vector<InferenceSession::Result> InferenceSession::RunBatch(
-    const std::shared_ptr<const BatchPlan>& plan) {
-  std::vector<BatchItem> items;
-  TryRunBatch(plan, {}, &items).CheckOK();
-  std::vector<Result> results;
-  results.reserve(items.size());
-  for (BatchItem& item : items) {
-    item.status.CheckOK();
-    results.push_back(std::move(item.result));
-  }
-  return results;
 }
 
 std::vector<int> InferenceSession::PredictNodes(

@@ -21,10 +21,8 @@
 #include <vector>
 
 #include "core/adamgnn_model.h"
-#include "core/batch_plan.h"
 #include "core/graph_plan.h"
 #include "tensor/matrix.h"
-#include "util/cancel.h"
 #include "util/status.h"
 
 namespace adamgnn::core {
@@ -73,48 +71,6 @@ class InferenceSession {
   util::Status TryRun(const std::shared_ptr<const GraphPlan>& plan,
                       const Result** out);
 
-  /// One member's outcome inside a batched forward.
-  struct BatchItem {
-    util::Status status = util::Status::OK();
-    Result result;  // valid iff status.ok()
-  };
-
-  /// Batch-first forward: runs ONE fused input-GCN layer over the
-  /// block-diagonal union, splits the primary representations back to
-  /// members (graph::SplitRows), and executes the weight-dependent pooling
-  /// cascade per member on the plan's sliced views. Each member's Result is
-  /// bitwise-identical to Run on that member's own GraphPlan, at every
-  /// thread count: the fused layer's per-element summation order is
-  /// member-local (row-gather SpMM + per-element GEMM accumulators), and
-  /// the cascade runs the exact single-graph code on bitwise-identical
-  /// inputs. The cascade is NOT fused because its break conditions and
-  /// segment-reduction chunk grains depend on the global node count.
-  ///
-  /// `member_tokens` is empty or one token per member (invalid tokens are
-  /// inert). A token that has already fired drops its member before any of
-  /// its work runs; a token firing mid-batch cancels only that member (at
-  /// its own cooperative checkpoints) — other members are unaffected. The
-  /// returned Status covers batch-level failures (malformed plan, a fired
-  /// ambient token during the fused phase); per-member failures land in
-  /// the corresponding BatchItem.
-  ///
-  /// Caching mirrors TryRun: fully-successful batches are memoized per
-  /// BatchPlan (the serving layer keys plans on the merged graph's
-  /// fingerprint, so a recurring batch composition is a stable identity),
-  /// and a hit returns per-member copies without touching the cascade.
-  /// This is the batch path's steady-state amortization axis: a catalog of
-  /// N graphs needs only N / batch_size cache keys, where one-at-a-time
-  /// serving needs N and thrashes once N exceeds kMaxCachedPlans. Batches
-  /// with any cancelled or failed member are never cached (no partial
-  /// results in the cache — same rule as the single-graph path).
-  util::Status TryRunBatch(const std::shared_ptr<const BatchPlan>& plan,
-                           const std::vector<util::CancelToken>& member_tokens,
-                           std::vector<BatchItem>* out);
-
-  /// Infallible TryRunBatch for tests/benches: no member tokens, aborts on
-  /// any batch- or member-level error.
-  std::vector<Result> RunBatch(const std::shared_ptr<const BatchPlan>& plan);
-
   /// Argmax class per node. Requires a model with a node head.
   std::vector<int> PredictNodes(const std::shared_ptr<const GraphPlan>& plan);
 
@@ -142,17 +98,12 @@ class InferenceSession {
   /// verification.
   uint64_t WeightsFingerprint() const { return weights_fingerprint_; }
 
+  /// Result-cache capacity. serve::ResilientServer sizes its plan caches
+  /// with this same constant (see server.h).
   static constexpr size_t kMaxCachedPlans = 16;
 
  private:
   util::Status RunUncached(const GraphPlan& plan, Result* out) const;
-  /// AdamGnn::Cascade at the session's λ and level cap from primary
-  /// representations h0, copied out as raw matrices. Shared by the
-  /// single-graph path and the per-member legs of TryRunBatch. Call under
-  /// NoGradGuard.
-  util::Status RunFrom(const graph::SparseMatrix& adjacency,
-                       const LevelTopology& level0,
-                       const autograd::Variable& h0, Result* out) const;
   void Snapshot(const AdamGnn& model);
 
   AdamGnnConfig config_;
@@ -164,10 +115,6 @@ class InferenceSession {
   // tracks insertion order for eviction.
   std::unordered_map<const GraphPlan*, Result> cache_;
   std::vector<std::shared_ptr<const GraphPlan>> order_;
-  // Batched counterpart: per-member results memoized per BatchPlan, same
-  // identity/lifetime rules and the same kMaxCachedPlans entry budget.
-  std::unordered_map<const BatchPlan*, std::vector<Result>> batch_cache_;
-  std::vector<std::shared_ptr<const BatchPlan>> batch_order_;
 };
 
 }  // namespace adamgnn::core

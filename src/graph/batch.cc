@@ -7,8 +7,7 @@
 
 namespace adamgnn::graph {
 
-util::Result<GraphBatch> MakeBatch(const std::vector<const Graph*>& graphs,
-                                   const MakeBatchOptions& options) {
+util::Result<GraphBatch> MakeBatch(const std::vector<const Graph*>& graphs) {
   if (graphs.empty()) {
     return util::Status::InvalidArgument("empty batch");
   }
@@ -28,7 +27,7 @@ util::Result<GraphBatch> MakeBatch(const std::vector<const Graph*>& graphs,
       return util::Status::InvalidArgument("batch member " + std::to_string(i) +
                                            " lacks features");
     }
-    if (options.require_labels && g->graph_label() < 0) {
+    if (g->graph_label() < 0) {
       return util::Status::InvalidArgument("batch member " + std::to_string(i) +
                                            " lacks a graph label");
     }
@@ -66,45 +65,6 @@ util::Result<GraphBatch> MakeBatch(const std::vector<const Graph*>& graphs,
   ADAMGNN_RETURN_NOT_OK(builder.SetFeatures(std::move(features)));
   ADAMGNN_ASSIGN_OR_RETURN(batch.merged, std::move(builder).Build());
   return batch;
-}
-
-util::Result<std::vector<tensor::Matrix>> SplitRows(
-    const tensor::Matrix& merged, const std::vector<size_t>& offsets) {
-  if (offsets.size() < 2) {
-    return util::Status::InvalidArgument(
-        "offsets needs at least two entries, got " +
-        std::to_string(offsets.size()));
-  }
-  if (offsets.front() != 0) {
-    return util::Status::InvalidArgument("offsets must start at 0, got " +
-                                         std::to_string(offsets.front()));
-  }
-  if (offsets.back() != merged.rows()) {
-    return util::Status::InvalidArgument(
-        "offsets must end at the merged row count " +
-        std::to_string(merged.rows()) + ", got " +
-        std::to_string(offsets.back()));
-  }
-  for (size_t m = 0; m + 1 < offsets.size(); ++m) {
-    if (offsets[m] > offsets[m + 1]) {
-      return util::Status::InvalidArgument(
-          "offsets not ascending at member " + std::to_string(m) + ": " +
-          std::to_string(offsets[m]) + " > " + std::to_string(offsets[m + 1]));
-    }
-  }
-  std::vector<tensor::Matrix> parts;
-  parts.reserve(offsets.size() - 1);
-  for (size_t m = 0; m + 1 < offsets.size(); ++m) {
-    const size_t begin = offsets[m];
-    const size_t rows = offsets[m + 1] - begin;
-    tensor::Matrix part(rows, merged.cols());
-    for (size_t r = 0; r < rows; ++r) {
-      std::copy(merged.row(begin + r), merged.row(begin + r) + merged.cols(),
-                part.row(r));
-    }
-    parts.push_back(std::move(part));
-  }
-  return parts;
 }
 
 }  // namespace adamgnn::graph

@@ -1,7 +1,6 @@
-// Batching for graph-level tasks and batch-first serving: stacks a set of
-// graphs into one block-diagonal graph plus a node -> graph segment map (the
-// layout used by the graph-classification trainers, the readout ops, and
-// core::BatchPlan), and scatters merged per-node matrices back to members.
+// Batching for graph-level tasks: stacks a set of graphs into one
+// block-diagonal graph plus a node -> graph segment map (the layout used by
+// the graph-classification trainers and the readout ops).
 
 #ifndef ADAMGNN_GRAPH_BATCH_H_
 #define ADAMGNN_GRAPH_BATCH_H_
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "tensor/matrix.h"
 #include "util/status.h"
 
 namespace adamgnn::graph {
@@ -20,8 +18,7 @@ struct GraphBatch {
   Graph merged;
   /// For each merged node, the index of its source graph in the batch.
   std::vector<size_t> node_to_graph;
-  /// graph_label() of each member, aligned with batch indices (-1 for
-  /// unlabeled members when labels were not required).
+  /// graph_label() of each member, aligned with batch indices.
   std::vector<int> graph_labels;
   /// Node-offset of each member within `merged` (size num_graphs + 1).
   std::vector<size_t> offsets;
@@ -29,28 +26,11 @@ struct GraphBatch {
   size_t num_graphs() const { return graph_labels.size(); }
 };
 
-struct MakeBatchOptions {
-  /// Training-path batches feed graph-classification losses, so every member
-  /// must carry a graph_label. The serving path batches arbitrary inference
-  /// requests, which have no labels — it passes false.
-  bool require_labels = true;
-};
-
 /// Merges `graphs` (all must share feature dimensionality, have at least one
-/// node, and — when options.require_labels — carry a graph_label). Pointers
-/// must be non-null and the list non-empty. Every rejection is an
-/// InvalidArgument naming the offending member index; nothing aborts.
-util::Result<GraphBatch> MakeBatch(const std::vector<const Graph*>& graphs,
-                                   const MakeBatchOptions& options = {});
-
-/// Scatters a merged per-node matrix (Σn x d) back to its members: output m
-/// is rows [offsets[m], offsets[m+1]) of `merged`. `offsets` must be the
-/// member-offset vector of the batch the rows were computed over (ascending,
-/// starting at 0, ending at merged.rows(), at least two entries). The
-/// inverse of the row-stacking MakeBatch performs: splitting a batch's
-/// feature matrix yields each member's features bitwise.
-util::Result<std::vector<tensor::Matrix>> SplitRows(
-    const tensor::Matrix& merged, const std::vector<size_t>& offsets);
+/// node, and carry a graph_label). Pointers must be non-null and the list
+/// non-empty. Every rejection is an InvalidArgument naming the offending
+/// member index; nothing aborts.
+util::Result<GraphBatch> MakeBatch(const std::vector<const Graph*>& graphs);
 
 }  // namespace adamgnn::graph
 

@@ -1,16 +1,12 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "core/batch_plan.h"
-#include "graph/batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -43,33 +39,6 @@ obs::Histogram& ServeSeconds() {
       new obs::Histogram("serve.request_seconds", obs::LatencyBucketBounds());
   return *h;
 }
-obs::Counter& BatchBatches() {
-  static obs::Counter* c = new obs::Counter("serve.batch.batches");
-  return *c;
-}
-obs::Counter& BatchFusedRequests() {
-  static obs::Counter* c = new obs::Counter("serve.batch.fused_requests");
-  return *c;
-}
-obs::Counter& BatchExpiredDropped() {
-  static obs::Counter* c = new obs::Counter("serve.batch.expired_dropped");
-  return *c;
-}
-obs::Counter& BatchFallback() {
-  static obs::Counter* c = new obs::Counter("serve.batch.fallback");
-  return *c;
-}
-obs::Histogram& BatchSize() {
-  static obs::Histogram* h = new obs::Histogram(
-      "serve.batch.size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
-  return *h;
-}
-obs::Histogram& BatchQueueWaitSeconds() {
-  static obs::Histogram* h = new obs::Histogram(
-      "serve.batch.queue_wait_seconds", obs::LatencyBucketBounds());
-  return *h;
-}
-
 /// Client errors: the request itself is wrong, so retrying is pointless and
 /// the failure says nothing about the plan's health.
 bool IsClientError(const util::Status& s) {
@@ -219,13 +188,7 @@ util::Result<ServeResult> ResilientServer::Serve(
     util::CancelToken token = make_token();
     ServeResult result;
     util::Status st;
-    if (attempt == 0 && options_.batch_max > 1) {
-      // First attempt goes through the micro-batching scheduler. The token
-      // travels WITH the queued request (checked pre-launch and at member
-      // boundaries) instead of binding this thread, which is idle while
-      // waiting. Retries, if any, run the sequential path below.
-      st = ServeViaBatch(g, fingerprint, token, &result);
-    } else {
+    {
       util::ScopedCancel bind(token);
       st = RunFull(g, fingerprint, &result);
     }
@@ -284,221 +247,6 @@ util::Result<ServeResult> ResilientServer::Degrade(
   return cause;
 }
 
-util::Status ResilientServer::ServeViaBatch(const graph::Graph& g,
-                                            uint64_t fingerprint,
-                                            const util::CancelToken& token,
-                                            ServeResult* out) {
-  auto req = std::make_shared<PendingRequest>();
-  req->g = &g;
-  req->fingerprint = fingerprint;
-  req->token = token;
-  req->enqueued_at = std::chrono::steady_clock::now();
-
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  batch_queue_.push_back(req);
-  batch_cv_.notify_all();  // a filling leader may be waiting for arrivals
-
-  while (!req->done) {
-    if (batch_leader_active_) {
-      // A leader exists; it (or a successor) will eventually serve us —
-      // the queue drains strictly FIFO, batch_max at a time.
-      batch_cv_.wait(lock);
-      continue;
-    }
-    batch_leader_active_ = true;
-    // Leader: give the batch a chance to fill before launching.
-    if (options_.batch_wait_us > 0) {
-      const auto fill_deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.batch_wait_us);
-      while (batch_queue_.size() < options_.batch_max &&
-             std::chrono::steady_clock::now() < fill_deadline) {
-        batch_cv_.wait_until(lock, fill_deadline);
-      }
-    }
-    // Injected collection-window stall (deterministic mid-queue deadline
-    // expiry in drills/tests). Sleeps outside batch_mu_ so arrivals keep
-    // queueing — exactly like a slow real collection window would behave.
-    if (util::FaultInjector::ArmedFast()) {
-      const int delay_us = util::FaultInjector::Instance().InjectedQueueDelayUs();
-      if (delay_us > 0) {
-        lock.unlock();
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        lock.lock();
-      }
-    }
-    std::vector<std::shared_ptr<PendingRequest>> batch;
-    const size_t take = std::min(batch_queue_.size(), options_.batch_max);
-    batch.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(batch_queue_.front()));
-      batch_queue_.pop_front();
-    }
-    lock.unlock();
-    ExecuteBatch(batch);
-    lock.lock();
-    for (const auto& r : batch) r->done = true;
-    batch_leader_active_ = false;
-    batch_cv_.notify_all();
-    // This thread's own request may not have been in the collected batch
-    // (older arrivals fill first). Loop: either it is done now, or this
-    // thread waits/leads again for a later batch.
-  }
-
-  *out = std::move(req->result);
-  return req->status;
-}
-
-void ResilientServer::ExecuteBatch(
-    const std::vector<std::shared_ptr<PendingRequest>>& batch) {
-  const auto now = std::chrono::steady_clock::now();
-  BatchBatches().Add();
-  obs::TraceSpan span("serve.batch");
-  span.Note("collected", static_cast<double>(batch.size()));
-
-  // Pre-launch triage: a member whose deadline fired while queued is
-  // dropped here, BEFORE any fused work — it must not consume compute its
-  // clock can no longer pay for.
-  std::vector<std::shared_ptr<PendingRequest>> live;
-  live.reserve(batch.size());
-  for (const auto& r : batch) {
-    BatchQueueWaitSeconds().Observe(
-        std::chrono::duration<double>(now - r->enqueued_at).count());
-    if (r->token.valid()) {
-      util::Status pre = r->token.Check();
-      if (!pre.ok()) {
-        r->status = std::move(pre);
-        BatchExpiredDropped().Add();
-        continue;
-      }
-    }
-    live.push_back(r);
-  }
-  BatchSize().Observe(static_cast<double>(live.size()));
-  if (live.empty()) return;
-
-  if (live.size() == 1) {
-    // A batch of one gains nothing from fusion. Run the sequential path so
-    // singleton requests keep the plan/result caches and exact
-    // single-request semantics (warm latency, drills, cache metrics).
-    const std::shared_ptr<PendingRequest>& r = live.front();
-    util::ScopedCancel bind(r->token);
-    r->status = RunFull(*r->g, r->fingerprint, &r->result);
-    return;
-  }
-
-  // Canonical member order: requests race into the queue, so the same
-  // multiset of graphs can arrive in any order. Per-member results are
-  // position-independent (the cascade is member-local), so sorting by each
-  // request's graph fingerprint makes recurring compositions produce the
-  // SAME merged graph — and therefore hit the batch-plan/result caches —
-  // regardless of arrival order.
-  std::stable_sort(live.begin(), live.end(),
-                   [](const std::shared_ptr<PendingRequest>& a,
-                      const std::shared_ptr<PendingRequest>& b) {
-                     return a->fingerprint < b->fingerprint;
-                   });
-
-  std::vector<const graph::Graph*> graphs;
-  std::vector<util::CancelToken> tokens;
-  graphs.reserve(live.size());
-  tokens.reserve(live.size());
-  for (const auto& r : live) {
-    graphs.push_back(r->g);
-    tokens.push_back(r->token);
-  }
-
-  // Serving batches carry no graph labels; only the structure matters.
-  graph::MakeBatchOptions batch_options;
-  batch_options.require_labels = false;
-
-  util::Status batch_status = util::Status::OK();
-  std::vector<core::InferenceSession::BatchItem> items;
-  util::Result<graph::GraphBatch> merged =
-      graph::MakeBatch(graphs, batch_options);
-  if (!merged.ok()) {
-    batch_status = merged.status();
-  } else {
-    std::lock_guard<std::mutex> session_lock(mu_);
-    // Fingerprint the merged graph BEFORE binding any token (a truncated
-    // digest must never become a cache key): a recurring batch composition
-    // reuses its block-diagonal plan, and through the stable plan pointer
-    // the session's memoized per-member results.
-    const uint64_t merged_fp = FingerprintOf(merged.ValueOrDie().merged);
-    // Fused-phase token: the shared plan build + input layer run under a
-    // fresh cancellable token, NOT any member's deadline token — allocation
-    // pressure may abort the whole fused phase (every member falls back to
-    // its own sequential retries), but no single member's clock is charged
-    // for shared work. Member deadlines re-engage at their own cascade legs
-    // inside TryRunBatch.
-    util::CancelToken fused_token = util::CancelToken::Cancellable();
-    util::ScopedCancel bind(fused_token);
-    std::shared_ptr<const core::BatchPlan> plan;
-    auto it = batch_plans_.find(merged_fp);
-    if (it != batch_plans_.end()) {
-      plan = it->second;
-    } else {
-      util::Result<std::shared_ptr<const core::BatchPlan>> built =
-          core::BatchPlan::TryBuild(merged.ValueOrDie(),
-                                    session_.config().lambda);
-      if (!built.ok()) {
-        batch_status = built.status();
-      } else {
-        plan = built.ValueOrDie();
-        if (batch_plans_.size() >= kMaxCachedPlans) {
-          batch_plans_.erase(batch_plan_order_.front());
-          batch_plan_order_.erase(batch_plan_order_.begin());
-        }
-        batch_plans_.emplace(merged_fp, plan);
-        batch_plan_order_.push_back(merged_fp);
-      }
-    }
-    if (plan != nullptr) {
-      batch_status = session_.TryRunBatch(plan, tokens, &items);
-    }
-  }
-
-  if (!batch_status.ok()) {
-    // Batch-level failure (merge, fused plan build, or fused input layer):
-    // every live member falls back to the sequential retry/degradation
-    // path in its own Serve loop. Client-error classes are remapped to a
-    // RETRYABLE status first — a malformed NEIGHBOR (say, a feature-dim
-    // mismatch at merge) must not surface as an innocent member's own
-    // InvalidArgument; each member's sequential attempt re-derives its
-    // precise status for itself.
-    util::Status member_status = batch_status;
-    if (IsClientError(batch_status)) {
-      member_status = util::Status::Unavailable("batched attempt aborted: " +
-                                                batch_status.message());
-    }
-    for (const auto& r : live) {
-      r->status = member_status;
-      BatchFallback().Add();
-    }
-    span.Note("fallback", static_cast<double>(live.size()));
-    return;
-  }
-
-  BatchFusedRequests().Add(live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    core::InferenceSession::BatchItem& item = items[i];
-    if (!item.status.ok()) {
-      // This member's token fired mid-batch (cooperative, at its own
-      // member boundary) — the others are unaffected.
-      live[i]->status = item.status;
-      BatchFallback().Add();
-      continue;
-    }
-    ServeResult& out = live[i]->result;
-    out.embeddings = std::move(item.result.embeddings);
-    out.logits = std::move(item.result.logits);
-    out.mode = ServeMode::kFull;
-    out.lambda_used = session_.config().lambda;
-    out.levels_used = session_.config().num_levels;
-    live[i]->status = util::Status::OK();
-  }
-}
-
 util::Status ResilientServer::RunFull(const graph::Graph& g,
                                       uint64_t fingerprint, ServeResult* out) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -509,7 +257,7 @@ util::Status ResilientServer::RunFull(const graph::Graph& g,
   } else {
     ADAMGNN_ASSIGN_OR_RETURN(
         plan, core::GraphPlan::TryBuild(g, session_.config().lambda));
-    if (plans_.size() >= kMaxCachedPlans) {
+    if (plans_.size() >= core::InferenceSession::kMaxCachedPlans) {
       plans_.erase(plan_order_.front());
       plan_order_.erase(plan_order_.begin());
     }
@@ -537,7 +285,7 @@ util::Status ResilientServer::RunDegraded(const graph::Graph& g,
   } else {
     ADAMGNN_ASSIGN_OR_RETURN(
         plan, core::GraphPlan::TryBuild(g, degraded_session_.config().lambda));
-    if (degraded_plans_.size() >= kMaxCachedPlans) {
+    if (degraded_plans_.size() >= core::InferenceSession::kMaxCachedPlans) {
       degraded_plans_.erase(degraded_plan_order_.front());
       degraded_plan_order_.erase(degraded_plan_order_.begin());
     }
@@ -591,8 +339,6 @@ void ResilientServer::RefreshWeights(const core::AdamGnn& model) {
   plan_order_.clear();
   degraded_plans_.clear();
   degraded_plan_order_.clear();
-  batch_plans_.clear();
-  batch_plan_order_.clear();
   stale_.clear();
   stale_order_.clear();
 }

@@ -20,39 +20,21 @@
 //      accuracy degrades smoothly) → stale cached result — and tags the
 //      response with the rung that produced it.
 //
-// With batch_max > 1 the server additionally runs a micro-batching
-// scheduler: concurrent requests queue up to batch_max (or batch_wait_us,
-// whichever fills first), are fused into ONE block-diagonal
-// InferenceSession::TryRunBatch, and are scattered back per request.
-// Admission, the breaker, deadlines, and the degradation ladder all keep
-// operating per REQUEST, never per batch: a member whose deadline expired
-// in the queue is dropped before launch, a token firing mid-batch cancels
-// only that member at its own cooperative checkpoints, and a member whose
-// fused leg fails falls back to the sequential retry/degradation path.
-// A collection window that ends with a single live request bypasses fusion
-// entirely and runs the sequential cached path — batching can change WHEN a
-// lone request runs, never HOW.
-//
-// Responses that ran the full plan with no token firing are
-// bitwise-identical to InferenceSession::Run on the same graph — batched
-// or not (the per-member bitwise guarantee of TryRunBatch).
+// Every request runs the same sequential path: forwards are serialized
+// per server under one lock, and each attempt reuses the server's cached
+// GraphPlan for its graph. A response that ran the full plan with no token
+// firing is bitwise-identical to InferenceSession::Run on the same graph.
 //
 // Metrics: serve.requests / serve.ok / serve.degraded /
-// serve.deadline_exceeded / serve.retries counters, the
-// serve.request_seconds histogram, the scheduler family (serve.batch.batches
-// / serve.batch.fused_requests / serve.batch.expired_dropped /
-// serve.batch.fallback counters, serve.batch.size and
-// serve.batch.queue_wait_seconds histograms), plus the admission
+// serve.deadline_exceeded / serve.retries counters and the
+// serve.request_seconds histogram, plus the admission
 // (serve.admitted/rejected, serve.queue_depth) and breaker
 // (serve.breaker.*) families.
 
 #ifndef ADAMGNN_SERVE_SERVER_H_
 #define ADAMGNN_SERVE_SERVER_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -92,14 +74,6 @@ struct ServerOptions {
   int degraded_max_levels = 1;
   /// Stale-result cache entries kept for last-ditch degradation.
   size_t max_stale_results = 16;
-  /// Micro-batching: fuse up to batch_max concurrent requests into one
-  /// block-diagonal forward. 1 (the default) disables the scheduler — every
-  /// request runs the sequential path unchanged.
-  size_t batch_max = 1;
-  /// How long the batch leader waits for the batch to fill before launching
-  /// whatever has queued (microseconds; 0 = launch immediately with the
-  /// requests already queued).
-  long long batch_wait_us = 0;
   /// Optional, non-owning process lifecycle. When set, Serve consults
   /// lifecycle->Admit() before any work (Unavailable unless Ready) and
   /// registers every admitted request via Track/BindToken so drains wait
@@ -173,13 +147,6 @@ class ResilientServer {
   static uint64_t FingerprintOf(const graph::Graph& g);
 
  private:
-  static constexpr size_t kMaxCachedPlans = 16;
-
-  struct StaleEntry {
-    ServeResult result;
-    uint64_t fingerprint = 0;
-  };
-
   // All three run under mu_: the underlying InferenceSession caches are
   // single-writer structures, so forwards are serialized per server. The
   // cooperative checkpoints keep each critical section bounded by one
@@ -197,31 +164,6 @@ class ResilientServer {
                                     util::Status cause, int attempts,
                                     const util::Stopwatch& watch);
 
-  /// One request waiting in (or being served from) the micro-batch queue.
-  struct PendingRequest {
-    const graph::Graph* g = nullptr;
-    uint64_t fingerprint = 0;  // FingerprintOf(*g), computed at admission
-    util::CancelToken token;  // the request's deadline/cancellation token
-    std::chrono::steady_clock::time_point enqueued_at;
-    ServeResult result;
-    util::Status status = util::Status::OK();
-    bool done = false;
-  };
-
-  /// The scheduler entry point for one request's FIRST attempt: enqueue,
-  /// elect/await a leader, and return this request's member outcome. The
-  /// caller's retry loop treats a failure exactly like a failed sequential
-  /// attempt (breaker bookkeeping, retries, degradation — all per request).
-  util::Status ServeViaBatch(const graph::Graph& g, uint64_t fingerprint,
-                             const util::CancelToken& token,
-                             ServeResult* out);
-  /// Leader body: drop expired members, canonicalize member order (so the
-  /// same multiset of graphs always produces the same merged fingerprint,
-  /// whatever order requests raced into the queue), fuse the rest into one
-  /// TryRunBatch, and scatter results/statuses back onto the entries.
-  void ExecuteBatch(
-      const std::vector<std::shared_ptr<PendingRequest>>& batch);
-
   ServerOptions options_;
   AdmissionController admission_;
   CircuitBreaker breaker_;
@@ -229,29 +171,18 @@ class ResilientServer {
   mutable std::mutex mu_;
   core::InferenceSession session_;
   core::InferenceSession degraded_session_;
+  // Plan FIFOs, one per session, sized by
+  // core::InferenceSession::kMaxCachedPlans. The session's result cache is
+  // keyed by plan pointer, so a larger FIFO here would keep handing the
+  // session plans whose results it already evicted, and a smaller one would
+  // leave it holding results no lookup can reach.
   std::unordered_map<uint64_t, std::shared_ptr<const core::GraphPlan>> plans_;
   std::vector<uint64_t> plan_order_;
   std::unordered_map<uint64_t, std::shared_ptr<const core::GraphPlan>>
       degraded_plans_;
   std::vector<uint64_t> degraded_plan_order_;
-  // Batch plans keyed by the MERGED graph's fingerprint: a recurring batch
-  // composition reuses its block-diagonal plan (and, through the stable
-  // plan pointer, the session's memoized per-member results). This is the
-  // batch path's cache-compression win — a catalog of N graphs needs only
-  // N / batch_size keys where one-at-a-time serving needs N.
-  std::unordered_map<uint64_t, std::shared_ptr<const core::BatchPlan>>
-      batch_plans_;
-  std::vector<uint64_t> batch_plan_order_;
   std::unordered_map<uint64_t, ServeResult> stale_;
   std::vector<uint64_t> stale_order_;
-
-  // Micro-batch scheduler state. batch_mu_ only guards the queue and the
-  // leader flag; the fused forward itself runs under mu_ with batch_mu_
-  // released, so arrivals keep queueing while a batch computes.
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;  // arrivals + completion broadcast
-  std::deque<std::shared_ptr<PendingRequest>> batch_queue_;
-  bool batch_leader_active_ = false;
 };
 
 }  // namespace adamgnn::serve

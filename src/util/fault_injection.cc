@@ -50,17 +50,8 @@ bool FaultInjector::ShouldFail(FaultOp op) {
       // Sticky expiry: a clock that has run out never comes back.
       return plan_.expire_deadline_at_check > 0 &&
              n >= plan_.expire_deadline_at_check;
-    case FaultOp::kQueueDelay:
-      return false;  // a delay, not a failure; see InjectedQueueDelayUs
   }
   return false;
-}
-
-int FaultInjector::InjectedQueueDelayUs() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!armed_) return 0;
-  ++counts_[static_cast<int>(FaultOp::kQueueDelay)];
-  return plan_.queue_delay_us;
 }
 
 bool FaultInjector::ShouldPoisonLoss(int epoch) {

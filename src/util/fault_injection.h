@@ -33,10 +33,8 @@ enum class FaultOp {
   kAlloc = 3,
   /// Cooperative deadline checks (util::CancelToken::Check).
   kDeadlineCheck = 4,
-  /// Micro-batching scheduler collection windows (serve::ResilientServer).
-  kQueueDelay = 5,
 };
-inline constexpr int kNumFaultOps = 6;
+inline constexpr int kNumFaultOps = 5;
 
 /// What to break, expressed in deterministic "fail the Nth occurrence"
 /// terms (1-based; 0 = never fail that op class).
@@ -58,13 +56,6 @@ struct FaultPlan {
   /// epoch (0-based; -1 = never). Fires once per arming, so a recovered
   /// run does not get re-poisoned on the rolled-back retry.
   int poison_loss_epoch = -1;
-  /// Extra microseconds the micro-batching scheduler's leader stalls before
-  /// collecting its batch (every collection window while armed). Makes the
-  /// --batch-wait-us timeout path and mid-queue deadline expiry
-  /// deterministically reproducible: a queued request whose deadline is
-  /// shorter than the injected delay is guaranteed to be expired — and
-  /// dropped — before the batch launches.
-  int queue_delay_us = 0;
 };
 
 /// Process-wide deterministic fault injector. Disarmed by default; every
@@ -92,11 +83,6 @@ class FaultInjector {
 
   /// True exactly once: when `epoch` equals the plan's poison epoch.
   bool ShouldPoisonLoss(int epoch);
-
-  /// Counts one scheduler collection window (FaultOp::kQueueDelay) and
-  /// returns the microseconds the leader must stall before collecting.
-  /// Disarmed: returns 0 without counting.
-  int InjectedQueueDelayUs();
 
   /// Occurrences of `op` observed since the last Arm().
   int OpCount(FaultOp op) const;

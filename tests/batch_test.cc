@@ -125,19 +125,6 @@ TEST(BatchTest, RejectionsNameTheOffendingMember) {
             std::string::npos);
 }
 
-TEST(BatchTest, UnlabeledMembersAllowedWhenLabelsNotRequired) {
-  GraphBuilder b(2);
-  b.AddEdge(0, 1).CheckOK();
-  util::Rng rng(18);
-  b.SetFeatures(tensor::Matrix::Gaussian(2, 3, 1.0, &rng)).CheckOK();
-  Graph unlabeled = std::move(b).Build().ValueOrDie();
-  Graph labeled = SmallLabeled(3, 1, 19);
-  MakeBatchOptions options;
-  options.require_labels = false;
-  GraphBatch batch = MakeBatch({&unlabeled, &labeled}, options).ValueOrDie();
-  EXPECT_EQ(batch.graph_labels, (std::vector<int>{-1, 1}));
-}
-
 TEST(BatchTest, OffsetsPartitionNodeToGraph) {
   Graph g1 = SmallLabeled(2, 0, 20);
   Graph g2 = SmallLabeled(5, 1, 21);
@@ -151,54 +138,6 @@ TEST(BatchTest, OffsetsPartitionNodeToGraph) {
       EXPECT_EQ(batch.node_to_graph[v], m);
     }
   }
-}
-
-TEST(SplitRowsTest, SingleMemberIdentity) {
-  Graph g1 = SmallLabeled(4, 0, 23);
-  GraphBatch batch = MakeBatch({&g1}).ValueOrDie();
-  std::vector<tensor::Matrix> parts =
-      SplitRows(batch.merged.features(), batch.offsets).ValueOrDie();
-  ASSERT_EQ(parts.size(), 1u);
-  ASSERT_EQ(parts[0].rows(), g1.num_nodes());
-  ASSERT_EQ(parts[0].cols(), g1.feature_dim());
-  for (size_t r = 0; r < g1.num_nodes(); ++r) {
-    for (size_t j = 0; j < g1.feature_dim(); ++j) {
-      EXPECT_EQ(parts[0](r, j), g1.features()(r, j));
-    }
-  }
-}
-
-TEST(SplitRowsTest, HeterogeneousRoundTrip) {
-  Graph g1 = SmallLabeled(2, 0, 24);
-  Graph g2 = SmallLabeled(6, 1, 25);
-  Graph g3 = SmallLabeled(3, 1, 26);
-  const std::vector<const Graph*> members = {&g1, &g2, &g3};
-  GraphBatch batch = MakeBatch(members).ValueOrDie();
-  std::vector<tensor::Matrix> parts =
-      SplitRows(batch.merged.features(), batch.offsets).ValueOrDie();
-  ASSERT_EQ(parts.size(), members.size());
-  for (size_t m = 0; m < members.size(); ++m) {
-    const Graph& g = *members[m];
-    ASSERT_EQ(parts[m].rows(), g.num_nodes());
-    for (size_t r = 0; r < g.num_nodes(); ++r) {
-      for (size_t j = 0; j < g.feature_dim(); ++j) {
-        EXPECT_EQ(parts[m](r, j), g.features()(r, j));
-      }
-    }
-  }
-}
-
-TEST(SplitRowsTest, RejectsMalformedOffsets) {
-  tensor::Matrix merged(5, 2);
-  EXPECT_FALSE(SplitRows(merged, {}).ok());
-  EXPECT_FALSE(SplitRows(merged, {0}).ok());
-  EXPECT_FALSE(SplitRows(merged, {1, 5}).ok());   // must start at 0
-  EXPECT_FALSE(SplitRows(merged, {0, 4}).ok());   // must end at rows()
-  EXPECT_FALSE(SplitRows(merged, {0, 3, 2, 5}).ok());  // not ascending
-  util::Result<std::vector<tensor::Matrix>> bad =
-      SplitRows(merged, {0, 3, 2, 5});
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("member 1"), std::string::npos);
 }
 
 }  // namespace

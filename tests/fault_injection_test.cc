@@ -78,29 +78,6 @@ TEST(FaultInjectorTest, DeterministicAcrossReruns) {
   }
 }
 
-TEST(FaultInjectorTest, QueueDelayCountsWindowsWhileArmed) {
-  FaultPlan plan;
-  plan.queue_delay_us = 250;
-  ScopedFaultPlan scoped(plan);
-  FaultInjector& fi = FaultInjector::Instance();
-  // Every collection window stalls by the same amount (not an Nth-only
-  // fault) and each call counts one window.
-  EXPECT_EQ(fi.InjectedQueueDelayUs(), 250);
-  EXPECT_EQ(fi.InjectedQueueDelayUs(), 250);
-  EXPECT_EQ(fi.OpCount(FaultOp::kQueueDelay), 2);
-}
-
-TEST(FaultInjectorTest, QueueDelayDisarmedReturnsZeroWithoutCounting) {
-  FaultInjector& fi = FaultInjector::Instance();
-  fi.Disarm();
-  EXPECT_EQ(fi.InjectedQueueDelayUs(), 0);
-  // An armed all-zero plan is a dry run: windows are counted but unstalled.
-  FaultPlan plan;
-  ScopedFaultPlan scoped(plan);
-  EXPECT_EQ(fi.InjectedQueueDelayUs(), 0);
-  EXPECT_EQ(fi.OpCount(FaultOp::kQueueDelay), 1);
-}
-
 TEST(FallibleIoTest, InjectedWriteFailureSurfacesAsStatus) {
   const std::string path = TempPath("fallible_write.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");

@@ -557,9 +557,11 @@ TEST(ResilientServerTest, ConcurrentServesWithCancellationAreSafe) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-batching scheduler (batch_max > 1).
+// Concurrent clients on the default options: every forward is serialized
+// under the server lock, so interleaving must not move a bit. TSan watches
+// the shared plan/result/stale caches.
 
-TEST(ResilientServerTest, BatchedServesAreBitwiseIdenticalPerRequest) {
+TEST(ResilientServerTest, ConcurrentServesAreBitwiseIdenticalPerRequest) {
   constexpr size_t kClients = 4;
   constexpr int kRounds = 3;
   util::Rng rng(21);
@@ -571,15 +573,11 @@ TEST(ResilientServerTest, BatchedServesAreBitwiseIdenticalPerRequest) {
     refs.push_back(Reference(model, graphs.back()));
   }
 
-  ServerOptions options;
-  options.batch_max = kClients;
-  options.batch_wait_us = 50000;
-  options.allow_degraded = false;
-  ResilientServer server(model, options);
+  ResilientServer server(model, ServerOptions{});
 
-  // Each client repeatedly serves its own graph; windows fuse whatever
-  // raced in. Every response — fused, cached, or singleton-bypassed — must
-  // be kFull and bitwise equal to the bare-session reference.
+  // Each client repeatedly serves its own graph, cold on its first round
+  // and warm after. Every response must be kFull and bitwise equal to the
+  // bare-session reference.
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (size_t i = 0; i < kClients; ++i) {
@@ -598,72 +596,38 @@ TEST(ResilientServerTest, BatchedServesAreBitwiseIdenticalPerRequest) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(ResilientServerTest, QueueDelayExpiresMemberBeforeLaunch) {
-  util::Rng rng(22);
-  AdamGnn model(SmallConfig(4, 2), &rng);
-  graph::Graph g_fast = TwoTriangles();
-  graph::Graph g_slow = Ring(9, 4, /*seed=*/23);
-  const InferenceSession::Result ref = Reference(model, g_fast);
+// ---------------------------------------------------------------------------
+// Client errors.
 
-  ServerOptions options;
-  options.batch_max = 2;
-  options.batch_wait_us = 1000000;  // the window fills long before this
-  options.allow_degraded = false;
-  options.max_retries = 0;
-  ResilientServer server(model, options);
-
-  // The leader stalls 30ms between fill and collection; the 5ms-deadline
-  // member is guaranteed to expire IN THE QUEUE and must be dropped before
-  // any fused work, while its batchmate is served normally.
-  FaultPlan plan;
-  plan.queue_delay_us = 30000;
-  ScopedFaultPlan scoped(plan);
-
-  util::Status slow_status = util::Status::OK();
-  util::Result<ServeResult> fast_result = util::Status::Internal("unset");
-  std::thread slow([&] {
-    RequestOptions request;
-    request.timeout_s = 0.005;
-    slow_status = server.Serve(g_slow, request).status();
-  });
-  std::thread fast([&] { fast_result = server.Serve(g_fast); });
-  slow.join();
-  fast.join();
-
-  EXPECT_EQ(slow_status.code(), util::StatusCode::kDeadlineExceeded);
-  ASSERT_TRUE(fast_result.ok());
-  EXPECT_EQ(fast_result.ValueOrDie().mode, ServeMode::kFull);
-  EXPECT_TRUE(fast_result.ValueOrDie().embeddings == ref.embeddings);
-}
-
-TEST(ResilientServerTest, FusedFailureFallsBackPerRequest) {
+TEST(ResilientServerTest, ClientErrorIsNeitherRetriedNorCountedByBreaker) {
   util::Rng rng(24);
   AdamGnn model(SmallConfig(4, 2), &rng);
-  graph::Graph g_good = TwoTriangles();       // feature dim 4 == model
+  graph::Graph g_good = TwoTriangles();          // feature dim 4 == model
   graph::Graph g_bad = Ring(8, 6, /*seed=*/25);  // feature dim 6: malformed
   const InferenceSession::Result ref = Reference(model, g_good);
+  const uint64_t fp_bad = ResilientServer::FingerprintOf(g_bad);
 
   ServerOptions options;
-  options.batch_max = 2;
-  options.batch_wait_us = 500000;
-  options.allow_degraded = false;
+  options.breaker.failure_threshold = 2;
   ResilientServer server(model, options);
 
-  // The merge rejects the mismatched feature dims, failing the WHOLE fused
-  // attempt — but per-request semantics must survive: the innocent member
-  // retries sequentially and succeeds bitwise; the malformed one gets its
-  // own precise InvalidArgument, not vice versa.
-  util::Result<ServeResult> good_result = util::Status::Internal("unset");
-  util::Status bad_status = util::Status::OK();
-  std::thread good([&] { good_result = server.Serve(g_good); });
-  std::thread bad([&] { bad_status = server.Serve(g_bad).status(); });
-  good.join();
-  bad.join();
+  // A malformed request is the caller's fault: it returns its own
+  // InvalidArgument every time (no degraded answer stands in for it) and
+  // never moves the plan's breaker, however often it repeats.
+  for (int i = 0; i < options.breaker.failure_threshold + 1; ++i) {
+    auto bad = server.Serve(g_bad);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(server.breaker().state(fp_bad), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(server.breaker().consecutive_failures(fp_bad), 0);
 
-  ASSERT_TRUE(good_result.ok());
-  EXPECT_EQ(good_result.ValueOrDie().mode, ServeMode::kFull);
-  EXPECT_TRUE(good_result.ValueOrDie().embeddings == ref.embeddings);
-  EXPECT_EQ(bad_status.code(), util::StatusCode::kInvalidArgument);
+  auto good = server.Serve(g_good);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good.ValueOrDie().mode, ServeMode::kFull);
+  EXPECT_EQ(good.ValueOrDie().attempts, 1);
+  EXPECT_TRUE(good.ValueOrDie().embeddings == ref.embeddings);
+  EXPECT_TRUE(good.ValueOrDie().logits == ref.logits);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 //                 [--seed=1] [--levels=3] [--hidden=64] [--threads=N]
 //                 [--output=pred.tsv] [--repeat=N] [--timeout-ms=T]
 //                 [--max-inflight=B] [--max-retries=R]
-//                 [--batch-max=B] [--batch-wait-us=U] [--batch-graphs=N]
 //   adamgnn_infer --task=lp --load=model.ckpt --edges=g.txt --features=x.txt
 //                 [...]
 //   adamgnn_infer --task=nc --load=model.ckpt --synthetic=cora --serve-loop
@@ -20,14 +19,6 @@
 // the full plan are bitwise-identical to the trainer's eval-mode forward at
 // the same checkpoint. --repeat measures the warm path: repeated requests
 // for the same graph hit the session's per-plan result cache.
-//
-// Micro-batching: --batch-max=B (> 1) turns on the server's batching
-// scheduler — concurrent requests are fused into one block-diagonal forward
-// (waiting up to --batch-wait-us for the batch to fill) and scattered back
-// per request, bitwise-identical to serving each graph alone.
-// --batch-graphs=N (synthetic input only) fans out N concurrent client
-// threads, each serving its own seed-variant of the input graph, to
-// exercise the scheduler from a single CLI invocation.
 //
 // Serve-loop mode (--serve-loop): the process becomes a long-running server
 // with a full lifecycle. The checkpoint is published through the versioned
@@ -63,7 +54,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -131,16 +121,6 @@ const std::vector<cli::FlagSpec>& Specs() {
                            "requests\nare shed with exit 4"},
           {"max-retries", "extra attempts for transient failures (default "
                           "1)"},
-          {"batch-max", "fuse up to B concurrent requests into one\n"
-                        "block-diagonal forward (default 1 = no batching);\n"
-                        "per-request results are bitwise-identical to "
-                        "serving\neach graph alone"},
-          {"batch-wait-us", "how long the batch leader waits for the batch "
-                            "to fill\nbefore launching what has queued "
-                            "(default 0)"},
-          {"batch-graphs", "fan out N concurrent client threads over N\n"
-                           "seed-variants of the synthetic input graph\n"
-                           "(rejected with --edges input)"},
           {"print-config", "print the resolved effective configuration\n"
                            "(threads, ISA, obs state, serve limits) as one "
                            "JSON\nline on stdout and exit 0"},
@@ -178,9 +158,6 @@ const std::vector<cli::FlagSpec>& Specs() {
           {"inject-deadline-at-check",
            "expire the deadline at the Nth cooperative check\n(needs "
            "--timeout-ms)"},
-          {"inject-queue-delay-us",
-           "stall the batch leader U microseconds before every\ncollection "
-           "window (drills)"},
       };
   return *kSpecs;
 }
@@ -213,14 +190,11 @@ void ArmFaultInjectionFromFlags(const cli::FlagMap& flags) {
       cli::IntFlagOr(flags, "inject-alloc-fault-count", "1"));
   const int deadline_at = static_cast<int>(
       cli::IntFlagOr(flags, "inject-deadline-at-check", "0"));
-  const int queue_delay_us = static_cast<int>(
-      cli::IntFlagOr(flags, "inject-queue-delay-us", "0"));
-  if (alloc_at > 0 || deadline_at > 0 || queue_delay_us > 0) {
+  if (alloc_at > 0 || deadline_at > 0) {
     util::FaultPlan fault_plan;
     fault_plan.fail_alloc_at = alloc_at;
     fault_plan.fail_alloc_count = alloc_count;
     fault_plan.expire_deadline_at_check = deadline_at;
-    fault_plan.queue_delay_us = queue_delay_us;
     util::FaultInjector::Instance().Arm(fault_plan);
   }
 }
@@ -452,14 +426,6 @@ int main(int argc, char** argv) {
       cli::IntFlagOr(flags, "max-inflight", "64"));
   server_options.max_retries =
       static_cast<int>(cli::IntFlagOr(flags, "max-retries", "1"));
-  const long long batch_max = cli::IntFlagOr(flags, "batch-max", "1");
-  const long long batch_wait_us = cli::IntFlagOr(flags, "batch-wait-us", "0");
-  if (batch_max < 1 || batch_wait_us < 0) {
-    std::fprintf(stderr, "--batch-max must be >= 1, --batch-wait-us >= 0\n");
-    return 2;
-  }
-  server_options.batch_max = static_cast<size_t>(batch_max);
-  server_options.batch_wait_us = batch_wait_us;
 
   serve::RequestOptions request;
   if (flags.count("timeout-ms") > 0) {
@@ -477,8 +443,6 @@ int main(int argc, char** argv) {
          {"serve_loop", flags.count("serve-loop") > 0 ? "true" : "false"},
          {"max_inflight", std::to_string(server_options.max_inflight)},
          {"max_retries", std::to_string(server_options.max_retries)},
-         {"batch_max", std::to_string(server_options.batch_max)},
-         {"batch_wait_us", std::to_string(server_options.batch_wait_us)},
          {"timeout_ms",
           std::to_string(flags.count("timeout-ms") > 0
                              ? request.timeout_s * 1e3
@@ -595,70 +559,6 @@ int main(int argc, char** argv) {
                  cold_ms, warm_ms, repeat);
   } else {
     std::fprintf(stderr, "cold request %.3f ms\n", cold_ms);
-  }
-
-  // Concurrent fan-out over seed-variant graphs: N client threads hit the
-  // server at once so the batching scheduler (--batch-max) has something to
-  // fuse. The base graph's predictions above are untouched by this section.
-  const int batch_graphs =
-      static_cast<int>(cli::IntFlagOr(flags, "batch-graphs", "1"));
-  if (batch_graphs > 1) {
-    if (flags.count("edges") > 0) {
-      std::fprintf(stderr,
-                   "--batch-graphs needs --synthetic input (seed variants "
-                   "of a file graph are not defined)\n");
-      return 2;
-    }
-    const long long base_seed = cli::IntFlagOr(flags, "seed",
-                                               cli::kDefaultSeed);
-    std::vector<graph::Graph> variants;
-    variants.reserve(static_cast<size_t>(batch_graphs) - 1);
-    for (int i = 1; i < batch_graphs; ++i) {
-      auto variant_flags = flags;
-      variant_flags["seed"] = std::to_string(base_seed + i);
-      auto variant = cli::LoadInput(variant_flags);
-      if (!variant.ok()) {
-        std::fprintf(stderr, "%s\n", variant.status().ToString().c_str());
-        return 3;
-      }
-      variants.push_back(std::move(variant).ValueOrDie());
-    }
-    std::atomic<int> ok_count{0};
-    std::atomic<int> degraded_count{0};
-    std::mutex failure_mu;
-    util::Status first_failure = util::Status::OK();
-    util::Stopwatch fanout_watch;
-    std::vector<std::thread> clients;
-    clients.reserve(static_cast<size_t>(batch_graphs));
-    for (int i = 0; i < batch_graphs; ++i) {
-      const graph::Graph* target =
-          i == 0 ? &g : &variants[static_cast<size_t>(i) - 1];
-      clients.emplace_back([&, target]() {
-        util::Result<serve::ServeResult> r = server.Serve(*target, request);
-        if (!r.ok()) {
-          std::lock_guard<std::mutex> lock(failure_mu);
-          if (first_failure.ok()) first_failure = r.status();
-          return;
-        }
-        ok_count.fetch_add(1);
-        if (r.ValueOrDie().mode != serve::ServeMode::kFull) {
-          degraded_count.fetch_add(1);
-        }
-      });
-    }
-    for (auto& t : clients) t.join();
-    const double fanout_ms = fanout_watch.ElapsedSeconds() * 1e3;
-    std::fprintf(stderr,
-                 "batched fan-out: %d concurrent requests, ok=%d "
-                 "(degraded=%d) in %.3f ms\n",
-                 batch_graphs, ok_count.load(), degraded_count.load(),
-                 fanout_ms);
-    if (ok_count.load() < batch_graphs) {
-      std::fprintf(stderr, "fan-out serve failed: %s\n",
-                   first_failure.ToString().c_str());
-      cli::DumpMetricsOrDie(flags);
-      return ExitCodeFor(first_failure);
-    }
   }
 
   const std::string output = FlagOr(flags, "output", "");

@@ -47,14 +47,8 @@ echo "==> bench smoke (small shapes; exercises the sparse engine A/B paths)"
 ./build/bench/bench_micro_kernels --smoke \
     --json=/tmp/adamgnn_bench_kernels_smoke.json \
     --benchmark_filter=NOTHING_MATCHES
-# The serve-batch bench checks per-member bitwise parity between the fused
-# and sequential paths on every round even in smoke mode; the 2x throughput
-# gate only arms on full-size runs.
-./build/bench/bench_serve_batch --smoke \
-    --json=/tmp/adamgnn_bench_serve_batch_smoke.json
 rm -f /tmp/adamgnn_bench_epoch_smoke.json \
-    /tmp/adamgnn_bench_kernels_smoke.json \
-    /tmp/adamgnn_bench_serve_batch_smoke.json
+    /tmp/adamgnn_bench_kernels_smoke.json
 
 # The TSan ctest leg below exercises the engine's concurrency surface:
 # sparse_matrix_test's ConcurrentFirstUseBuildsTheViewOnce races four
@@ -62,7 +56,9 @@ rm -f /tmp/adamgnn_bench_epoch_smoke.json \
 # drive the parallel gather/scatter kernels on a 4-thread pool, and
 # serve_test's ConcurrentServesWithCancellationAreSafe races eight client
 # threads against an external canceller through the admission gate —
-# the required TSan coverage for cooperative cancellation.
+# the required TSan coverage for cooperative cancellation — and
+# ConcurrentServesAreBitwiseIdenticalPerRequest checks that four concurrent
+# clients still get responses bitwise-equal to a bare session.
 echo "==> TSan build + ctest (ADAMGNN_NUM_THREADS=4)"
 cmake -B build-tsan -S . -DADAMGNN_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}"
@@ -100,14 +96,8 @@ METRICS="$(mktemp -u /tmp/adamgnn_smoke.XXXXXX.metrics.jsonl)"
 MODEL2="$(mktemp -u /tmp/adamgnn_smoke.XXXXXX.model)"
 ./build/tools/adamgnn_train --task=nc --synthetic=cora --scale=0.1 \
     --epochs=3 --threads=4 --save="${MODEL2}"
-# The infer leg runs with the micro-batching scheduler on: the cold and
-# warm requests arrive alone (singleton batches bypass fusion and keep the
-# plan/result-cache metrics exact), while --batch-graphs=4 fans out four
-# concurrent clients that must fuse into at least one multi-member batch
-# (check_metrics requires the serve.batch.* family).
 ./build/tools/adamgnn_infer --task=nc --synthetic=cora --scale=0.1 \
-    --threads=4 --load="${MODEL2}" --repeat=3 --metrics-out="${METRICS}" \
-    --batch-max=4 --batch-wait-us=2000000 --batch-graphs=4
+    --threads=4 --load="${MODEL2}" --repeat=3 --metrics-out="${METRICS}"
 ./build/tools/check_metrics --mode=infer --file="${METRICS}"
 rm -f "${METRICS}" "${MODEL2}"
 
@@ -177,20 +167,6 @@ run_drill 4 --task=nc --synthetic=cora --scale=0.1 --threads=4 \
 run_drill 0 --task=nc --synthetic=cora --scale=0.1 --threads=4 \
     --inject-alloc-fault-at=2 --inject-alloc-fault-count=1 --max-retries=1
 grep -q "attempts=2" "${DRILL_ERR}"
-# Micro-batching scheduler drills. An injected collection-window stall
-# longer than the request deadline must expire queued requests BEFORE the
-# fused launch: a clean exit 4 with serve.batch.expired_dropped counted,
-# never a crash and never compute spent on a dead request.
-run_drill 4 --task=nc --synthetic=cora --scale=0.1 --threads=4 \
-    --batch-max=4 --batch-graphs=4 --timeout-ms=5 \
-    --inject-queue-delay-us=50000
-grep -q "DeadlineExceeded" "${DRILL_ERR}"
-# The same stall under a roomy deadline is only latency: every fanned-out
-# request still serves at full fidelity.
-run_drill 0 --task=nc --synthetic=cora --scale=0.1 --threads=4 \
-    --batch-max=4 --batch-graphs=4 --timeout-ms=60000 \
-    --inject-queue-delay-us=10000
-grep -q "ok=4 (degraded=0)" "${DRILL_ERR}"
 # Corrupt input (NaN feature) is an ingestion error: exit 3.
 DRILL_EDGES="$(mktemp -u /tmp/adamgnn_smoke.XXXXXX.drill.edges)"
 DRILL_FEATS="$(mktemp -u /tmp/adamgnn_smoke.XXXXXX.drill.feats)"
@@ -219,17 +195,7 @@ INFER_PRED="$(mktemp -u /tmp/adamgnn_smoke.XXXXXX.infer.tsv)"
     --seed=1 --threads=4 --load="${MODEL}" --output="${INFER_PRED}" \
     --repeat=3
 diff "${TRAIN_PRED}" "${INFER_PRED}"
-# Same checkpoint served with the micro-batching scheduler on and four
-# concurrent clients fusing through it (ASan watches the whole scheduler +
-# block-diagonal scatter machinery): the base graph's predictions must stay
-# byte-identical to the sequential run. Fused per-member bitwise parity is
-# covered by batch_inference_test/serve_test in the sanitizer ctest legs.
-INFER_PRED_B="$(mktemp -u /tmp/adamgnn_smoke.XXXXXX.inferb.tsv)"
-./build-asan/tools/adamgnn_infer --task=nc --synthetic=cora --scale=0.1 \
-    --seed=1 --threads=4 --load="${MODEL}" --output="${INFER_PRED_B}" \
-    --batch-max=4 --batch-wait-us=2000000 --batch-graphs=4
-diff "${TRAIN_PRED}" "${INFER_PRED_B}"
-rm -f "${MODEL}" "${TRAIN_PRED}" "${INFER_PRED}" "${INFER_PRED_B}"
+rm -f "${MODEL}" "${TRAIN_PRED}" "${INFER_PRED}"
 
 echo "==> chaos soak (seeded hot-swap/drain/fault storm; ASan then TSan)"
 # 200 deterministic seeded iterations of mixed traffic, live reloads, bad
