@@ -73,7 +73,8 @@ AdamGnn::Output AdamGnn::ForwardFromFeatures(const graph::Graph& g,
   Output out;
   Cascade(plan.adjacency(), plan.level0(),
           PrimaryRepresentations(plan.norm_adj(), x, training, rng),
-          config_.lambda, config_.num_levels, training, rng, &g, &out)
+          config_.lambda, config_.num_levels, training, rng,
+          training ? &g : nullptr, &out)
       .CheckOK();
   return out;
 }
@@ -121,7 +122,7 @@ util::Status AdamGnn::Cascade(const graph::SparseMatrix& adjacency,
 
     Assignment asg = BuildAssignment(pairs, sel, scores);
     autograd::Variable x_k = hyper_init_[static_cast<size_t>(k)]->Initialise(
-        pairs, sel, asg, scores, h_prev);
+        sel, asg, scores, h_prev);
     ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
 
     graph::SparseMatrix next_adj = NextAdjacency(*cur_adj, asg);

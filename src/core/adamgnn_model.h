@@ -88,8 +88,10 @@ class AdamGnn : public nn::Module {
     std::vector<int64_t> level1_ego_of_node;
   };
 
-  /// Runs the full pipeline on g. `training` controls dropout; `rng` drives
-  /// dropout masks and negative sampling for L_R. Builds a throwaway
+  /// Runs the full pipeline on g. `training` controls dropout and the
+  /// auxiliary losses, which only a training forward builds; `rng` drives
+  /// dropout masks and negative sampling for L_R. An eval forward draws
+  /// nothing from `rng`, which may then be null. Builds a throwaway
   /// GraphPlan internally — amortizing callers should build a plan once and
   /// use the plan-based overload.
   Output Forward(const graph::Graph& g, bool training, util::Rng* rng) const;
@@ -97,7 +99,8 @@ class AdamGnn : public nn::Module {
   /// Plan-based forward: all topology-only structure (Â, level-0 ego
   /// enumeration, local-max neighborhoods, feature constant) comes
   /// precomputed from `plan`, which must have been built from `g` with this
-  /// config's λ. `g` is still consulted for the reconstruction loss edges.
+  /// config's λ. `g` is still consulted for the reconstruction loss edges
+  /// when training.
   Output Forward(const graph::Graph& g, const GraphPlan& plan, bool training,
                  util::Rng* rng) const;
 

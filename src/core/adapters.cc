@@ -6,25 +6,6 @@
 
 namespace adamgnn::core {
 
-namespace {
-
-// Forward(training=false) without the auxiliary losses: the same logits and
-// embeddings, but no dropout and no RNG draw. Call under NoGradGuard.
-AdamGnn::Output EvalForward(const AdamGnn& model, const GraphPlan& plan) {
-  AdamGnn::Output out;
-  model
-      .Cascade(plan.adjacency(), plan.level0(),
-               model.PrimaryRepresentations(plan.norm_adj(),
-                                            plan.feature_constant(),
-                                            /*training=*/false, nullptr),
-               plan.lambda(), model.config().num_levels, /*training=*/false,
-               /*rng=*/nullptr, /*loss_graph=*/nullptr, &out)
-      .CheckOK();
-  return out;
-}
-
-}  // namespace
-
 const std::shared_ptr<const GraphPlan>& PlanCache::For(const graph::Graph& g) {
   const uint64_t fp = GraphPlan::Fingerprint(g);
   if (plan_ == nullptr || plan_->fingerprint() != fp) {
@@ -50,9 +31,9 @@ train::NodeModel::Out AdamGnnNodeModel::Forward(const graph::Graph& g,
 
 train::NodeModel::Out AdamGnnNodeModel::Evaluate(const graph::Graph& g,
                                                  util::Rng* rng) {
-  (void)rng;  // the eval forward consumes no randomness
   autograd::NoGradGuard no_grad;
-  AdamGnn::Output out = EvalForward(model_, *plans_.For(g));
+  AdamGnn::Output out =
+      model_.Forward(g, *plans_.For(g), /*training=*/false, rng);
   last_attention_ = std::move(out.flyback_attention);
   last_levels_ = std::move(out.levels);
   return {out.logits, autograd::Variable()};
@@ -79,9 +60,9 @@ train::EmbeddingModel::Out AdamGnnEmbeddingModel::Forward(
 
 train::EmbeddingModel::Out AdamGnnEmbeddingModel::Evaluate(
     const graph::Graph& g, util::Rng* rng) {
-  (void)rng;
   autograd::NoGradGuard no_grad;
-  AdamGnn::Output out = EvalForward(model_, *plans_.For(g));
+  AdamGnn::Output out =
+      model_.Forward(g, *plans_.For(g), /*training=*/false, rng);
   return {projection_.Forward(out.embeddings), autograd::Variable()};
 }
 
@@ -111,10 +92,10 @@ train::GraphModel::Out AdamGnnGraphModel::Forward(
 
 train::GraphModel::Out AdamGnnGraphModel::Evaluate(
     const graph::GraphBatch& batch, util::Rng* rng) {
-  (void)rng;
   autograd::NoGradGuard no_grad;
-  AdamGnn::Output out = EvalForward(
-      model_, *GraphPlan::Build(batch.merged, model_.config().lambda));
+  AdamGnn::Output out = model_.Forward(
+      batch.merged, *GraphPlan::Build(batch.merged, model_.config().lambda),
+      /*training=*/false, rng);
   return {model_.GraphLogits(out, batch.node_to_graph, batch.num_graphs()),
           autograd::Variable()};
 }

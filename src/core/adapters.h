@@ -1,7 +1,6 @@
 // Adapters exposing core::AdamGnn through the task interfaces the trainers
-// and benches consume. Evaluate runs the model's own forward under
-// autograd::NoGradGuard, minus the auxiliary losses: bitwise the logits of
-// Forward(training=false), with no tape and no RNG draw.
+// and benches consume. Evaluate runs Forward(training=false) under
+// autograd::NoGradGuard: the same logits, with no tape and no RNG draw.
 
 #ifndef ADAMGNN_CORE_ADAPTERS_H_
 #define ADAMGNN_CORE_ADAPTERS_H_

@@ -8,6 +8,7 @@
 #include "autograd/segment_ops.h"
 #include "core/graph_plan.h"
 #include "nn/init.h"
+#include "nn/pair_logits.h"
 #include "util/cancel.h"
 #include "util/logging.h"
 
@@ -78,14 +79,12 @@ FitnessScorer::Scores ScoreImpl(
     const autograd::Variable& h, const autograd::Variable& weight,
     const autograd::Variable& attention, FitnessMode mode) {
   ADAMGNN_CHECK_GT(pairs.num_pairs(), 0u);
-  autograd::Variable wh = autograd::MatMul(h, weight);
-  autograd::Variable wh_member = autograd::GatherRows(wh, pairs.member);
-  autograd::Variable wh_ego = autograd::GatherRows(wh, pairs.ego);
-
-  // f^s: attention logits normalized within each ego-network.
-  autograd::Variable logits = autograd::LeakyRelu(
-      autograd::MatMul(autograd::ConcatCols(wh_member, wh_ego), attention),
-      0.2);
+  // f^s: attention logits normalized within each ego-network. With
+  // a = [a_top; a_bot], aᵀ(W h_j ‖ W h_i) = (h·(W·a_top))_j + (h·(W·a_bot))_i,
+  // so one (n x d)·(d x 2) product replaces the per-pair feature gathers.
+  autograd::Variable logits = nn::PairLogits(
+      h, autograd::MatMul(weight, nn::AttentionHalves(attention)),
+      pairs.member, pairs.ego);
   std::vector<size_t> segments = pairs.ego;
   autograd::Variable f_s = autograd::SegmentSoftmax(
       logits, std::move(segments), pairs.num_nodes);

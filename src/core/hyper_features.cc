@@ -3,6 +3,7 @@
 #include "autograd/ops.h"
 #include "autograd/segment_ops.h"
 #include "nn/init.h"
+#include "nn/pair_logits.h"
 #include "util/logging.h"
 
 namespace adamgnn::core {
@@ -14,10 +15,9 @@ HyperFeatureInit::HyperFeatureInit(size_t dim, util::Rng* rng) {
 }
 
 autograd::Variable HyperFeatureInit::Initialise(
-    const EgoPairs& pairs, const Selection& selection,
-    const Assignment& assignment, const FitnessScorer::Scores& scores,
+    const Selection& selection, const Assignment& assignment,
+    const FitnessScorer::Scores& scores,
     const autograd::Variable& h_prev) const {
-  (void)pairs;  // index sets now come precomputed on the assignment
   const size_t num_egos = selection.selected_egos.size();
 
   // Ego base features H_{k-1}(i).
@@ -28,22 +28,21 @@ autograd::Variable HyperFeatureInit::Initialise(
 
   if (num_egos > 0 && !assignment.kept_pair_indices.empty()) {
     // Member contributions, attention-weighted per selected ego-network.
-    autograd::Variable h_member =
-        autograd::GatherRows(h_prev, assignment.member_rows);
-    autograd::Variable h_ego =
-        autograd::GatherRows(h_prev, assignment.ego_rows);
     autograd::Variable phi =
         autograd::GatherRows(scores.pair_phi, assignment.kept_pair_indices);
 
-    // aᵀ LeakyReLU(W(φ_ij · h_j) ‖ h_i)
-    autograd::Variable scaled_member =
-        autograd::MulColBroadcast(h_member, phi);
-    autograd::Variable logits = autograd::LeakyRelu(
-        autograd::MatMul(
-            autograd::ConcatCols(autograd::MatMul(scaled_member, weight_),
-                                 h_ego),
-            attention_),
-        0.2);
+    // With a = [a_top; a_bot], the logit's linear part
+    // aᵀ(W(φ_ij · h_j) ‖ h_i) = φ_ij·(h·(W·a_top))_j + (h·a_bot)_i, so one
+    // (n x d)·(d x 2) product replaces the per-pair gathers and GEMM.
+    autograd::Variable halves = nn::AttentionHalves(attention_);
+    autograd::Variable logits = nn::PairLogits(
+        h_prev,
+        autograd::ConcatCols(
+            autograd::MatMul(weight_, autograd::SliceCols(halves, 0, 1)),
+            autograd::SliceCols(halves, 1, 1)),
+        assignment.member_rows, assignment.ego_rows, phi);
+    autograd::Variable h_member =
+        autograd::GatherRows(h_prev, assignment.member_rows);
     autograd::Variable alpha =
         autograd::SegmentSoftmax(logits, assignment.init_segments, num_egos);
     autograd::Variable weighted = autograd::MulColBroadcast(h_member, alpha);

@@ -26,8 +26,7 @@ class HyperFeatureInit : public nn::Module {
   /// Produces X_k (num_hyper_nodes x dim), rows ordered like the assignment
   /// columns (selected egos first, then retained nodes). The gather and
   /// segment index sets come precomputed from the assignment structure.
-  autograd::Variable Initialise(const EgoPairs& pairs,
-                                const Selection& selection,
+  autograd::Variable Initialise(const Selection& selection,
                                 const Assignment& assignment,
                                 const FitnessScorer::Scores& scores,
                                 const autograd::Variable& h_prev) const;

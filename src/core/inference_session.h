@@ -2,8 +2,8 @@
 // holds a deep copy of a model's parameters (decoupled from the optimizer)
 // and runs the model's own forward, AdamGnn::Cascade, under
 // autograd::NoGradGuard: the same code and kernels as
-// Forward(training=false), minus the tape and the auxiliary losses, so
-// session outputs are bitwise-identical to it at the same weights.
+// Forward(training=false), minus the tape, so session outputs are
+// bitwise-identical to it at the same weights.
 //
 // Caching: results are memoized per GraphPlan, so repeated queries against
 // the same graph skip the pooling cascade entirely (the dominant serving

@@ -4,6 +4,7 @@
 #include "autograd/segment_ops.h"
 #include "autograd/sparse_ops.h"
 #include "nn/init.h"
+#include "nn/pair_logits.h"
 
 namespace adamgnn::nn {
 
@@ -35,12 +36,8 @@ autograd::Variable GatConv::Forward(
   autograd::Variable z = autograd::MatMul(x, weight_);
 
   // Per-edge attention logits, decomposed as a_srcᵀ z_u + a_dstᵀ z_v.
-  autograd::Variable zu = autograd::GatherRows(z, edges->src);
-  autograd::Variable zv = autograd::GatherRows(z, edges->dst);
-  autograd::Variable logits = autograd::LeakyRelu(
-      autograd::Add(autograd::MatMul(zu, a_src_),
-                    autograd::MatMul(zv, a_dst_)),
-      0.2);
+  autograd::Variable logits = PairLogits(
+      z, autograd::ConcatCols(a_src_, a_dst_), edges->src, edges->dst);
 
   // Normalize over each destination's in-neighborhood.
   std::vector<size_t> dst = edges->dst;

@@ -79,7 +79,25 @@ TEST(AdamGnnTest, ForwardShapesOnSmallGraph) {
   EXPECT_TRUE(out.embeddings.value().AllFinite());
   EXPECT_FALSE(out.levels.empty());
   EXPECT_FALSE(out.level1_egos.empty());
-  EXPECT_TRUE(out.aux_loss.defined());
+  EXPECT_FALSE(out.aux_loss.defined());  // only training builds aux losses
+  util::Rng trng(5);
+  EXPECT_TRUE(model.Forward(g, /*training=*/true, &trng).aux_loss.defined());
+}
+
+TEST(AdamGnnTest, EvalForwardLeavesCallerRngUntouched) {
+  graph::Graph g = Ring(30, 4, 14);
+  util::Rng rng(15);
+  AdamGnnConfig c = SmallConfig(4, 2);
+  c.dropout = 0.3;
+  AdamGnn model(c, &rng);
+  util::Rng frng(16);
+  const std::vector<uint64_t> before = frng.SaveState();
+  AdamGnn::Output out = model.Forward(g, /*training=*/false, &frng);
+  EXPECT_EQ(frng.SaveState(), before);
+  EXPECT_FALSE(out.aux_loss.defined());
+  // Same outputs with no RNG at all.
+  AdamGnn::Output bare = model.Forward(g, /*training=*/false, nullptr);
+  EXPECT_TRUE(bare.logits.value() == out.logits.value());
 }
 
 TEST(AdamGnnTest, LevelsCompressMonotonically) {
@@ -133,7 +151,7 @@ TEST(AdamGnnTest, AblationTogglesChangeOutputs) {
   no_aux.use_recon_loss = false;
   util::Rng r3(11), f3(12);
   AdamGnn bare(no_aux, &r3);
-  EXPECT_FALSE(bare.Forward(g, false, &f3).aux_loss.defined());
+  EXPECT_FALSE(bare.Forward(g, /*training=*/true, &f3).aux_loss.defined());
 }
 
 TEST(AdamGnnTest, GraphLogitsOverBatch) {

@@ -1,5 +1,8 @@
 #include "core/assignment.h"
 
+#include <cmath>
+#include <vector>
+
 #include "autograd/ops.h"
 #include "core/hyper_features.h"
 #include "core/unpooling.h"
@@ -10,7 +13,10 @@
 namespace adamgnn::core {
 namespace {
 
+using adamgnn::testing::CountNegative;
 using adamgnn::testing::ExpectGradientsMatch;
+using adamgnn::testing::LeakyReluSegmentSoftmax;
+using adamgnn::testing::RingWithChords;
 using adamgnn::testing::TwoTriangles;
 using autograd::Variable;
 using tensor::Matrix;
@@ -113,7 +119,7 @@ TEST(HyperFeatureTest, OutputShapeMatchesHyperNodes) {
   Assignment asg = BuildAssignment(f.pairs, f.sel, f.scores);
   util::Rng rng(7);
   HyperFeatureInit init(4, &rng);
-  Variable x_k = init.Initialise(f.pairs, f.sel, asg, f.scores, f.h);
+  Variable x_k = init.Initialise(f.sel, asg, f.scores, f.h);
   EXPECT_EQ(x_k.rows(), f.sel.num_hyper_nodes());
   EXPECT_EQ(x_k.cols(), 4u);
   EXPECT_TRUE(x_k.value().AllFinite());
@@ -124,7 +130,7 @@ TEST(HyperFeatureTest, RetainedRowsKeepTheirRepresentation) {
   Assignment asg = BuildAssignment(f.pairs, f.sel, f.scores);
   util::Rng rng(9);
   HyperFeatureInit init(4, &rng);
-  Variable x_k = init.Initialise(f.pairs, f.sel, asg, f.scores, f.h);
+  Variable x_k = init.Initialise(f.sel, asg, f.scores, f.h);
   for (size_t r = 0; r < f.sel.retained_nodes.size(); ++r) {
     const size_t row = f.sel.selected_egos.size() + r;
     for (size_t j = 0; j < 4; ++j) {
@@ -145,13 +151,127 @@ TEST(HyperFeatureTest, GradientsReachInputRepresentations) {
         // Rebuild the differentiable pipeline from the perturbed h.
         FitnessScorer::Scores scores = f.scorer.Score(f.pairs, f.h);
         Assignment a2 = BuildAssignment(f.pairs, f.sel, scores);
-        Variable x_k = init.Initialise(f.pairs, f.sel, a2, scores, f.h);
+        Variable x_k = init.Initialise(f.sel, a2, scores, f.h);
         util::Rng wrng(12);
         Matrix w = Matrix::Gaussian(x_k.rows(), x_k.cols(), 1.0, &wrng);
         return autograd::Sum(
             autograd::CwiseMul(x_k, Variable::Constant(w)));
       },
       1e-5, 5e-6);
+}
+
+// Eq. 3 evaluated pair by pair from the parameters, with the concatenated
+// attention vector: pre_i = aᵀ (W(φ_ij h_j) ‖ h_i), α = segment softmax of
+// LeakyReLU(pre), X(ego) = h_ego + Σ α h_member, X(retained) = h_retained.
+Matrix ConcatFormulaHyperInit(const Selection& sel, const Assignment& asg,
+                              const Matrix& pair_phi, const Matrix& h,
+                              const Matrix& w, const Matrix& a,
+                              std::vector<double>* pre) {
+  const size_t d = h.cols();
+  const size_t num_egos = sel.selected_egos.size();
+  const size_t m = asg.kept_pair_indices.size();
+  pre->assign(m, 0.0);
+  for (size_t i = 0; i < m; ++i) {
+    const double phi = pair_phi(asg.kept_pair_indices[i], 0);
+    std::vector<double> cat(2 * d, 0.0);
+    for (size_t c = 0; c < d; ++c) {
+      for (size_t k = 0; k < d; ++k) {
+        cat[c] += phi * h(asg.member_rows[i], k) * w(k, c);
+      }
+      cat[d + c] = h(asg.ego_rows[i], c);
+    }
+    for (size_t k = 0; k < 2 * d; ++k) (*pre)[i] += a(k, 0) * cat[k];
+  }
+  const std::vector<double> alpha =
+      LeakyReluSegmentSoftmax(*pre, asg.init_segments, num_egos);
+  Matrix x(sel.num_hyper_nodes(), d);
+  for (size_t e = 0; e < num_egos; ++e) {
+    for (size_t c = 0; c < d; ++c) x(e, c) = h(sel.selected_egos[e], c);
+  }
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t c = 0; c < d; ++c) {
+      x(asg.init_segments[i], c) += alpha[i] * h(asg.member_rows[i], c);
+    }
+  }
+  for (size_t r = 0; r < sel.retained_nodes.size(); ++r) {
+    for (size_t c = 0; c < d; ++c) {
+      x(num_egos + r, c) = h(sel.retained_nodes[r], c);
+    }
+  }
+  return x;
+}
+
+// A level over a random graph with several selected ego-networks and kept
+// member pairs, scored from random representations.
+struct RandomLevel {
+  EgoPairs pairs;
+  Variable h;
+  FitnessScorer::Scores scores;
+  Selection sel;
+  Assignment asg;
+
+  RandomLevel(size_t n, size_t dim, int lambda, uint64_t seed) {
+    graph::Graph g = RingWithChords(n, dim, n / 2, seed);
+    std::vector<std::vector<size_t>> adj = AdjacencyLists(g);
+    pairs = EgoPairs::Build(adj, lambda);
+    util::Rng rng(seed + 1);
+    FitnessScorer scorer(dim, &rng);
+    h = Variable::Parameter(Matrix::Gaussian(n, dim, 1.0, &rng));
+    scores = scorer.Score(pairs, Variable::Constant(h.value()));
+    sel = SelectEgoNetworks(scores.ego_phi.value(), adj, pairs);
+    asg = BuildAssignment(pairs, sel, scores);
+  }
+};
+
+TEST(HyperFeatureTest, PairLinearLogitsMatchConcatFormula) {
+  for (int lambda : {1, 2}) {
+    RandomLevel level(30, 6, lambda, 60 + static_cast<uint64_t>(lambda));
+    ASSERT_GT(level.sel.selected_egos.size(), 1u);
+    ASSERT_FALSE(level.asg.kept_pair_indices.empty());
+    util::Rng rng(70);
+    HyperFeatureInit init(6, &rng);
+    Variable x_k =
+        init.Initialise(level.sel, level.asg, level.scores, level.h);
+    std::vector<double> pre;
+    Matrix want = ConcatFormulaHyperInit(
+        level.sel, level.asg, level.scores.pair_phi.value(), level.h.value(),
+        init.weight().value(), init.attention().value(), &pre);
+    ASSERT_GT(CountNegative(pre), 0u);
+    ASSERT_LT(CountNegative(pre), pre.size());
+    ASSERT_EQ(x_k.rows(), want.rows());
+    for (size_t r = 0; r < want.rows(); ++r) {
+      for (size_t c = 0; c < want.cols(); ++c) {
+        EXPECT_NEAR(x_k.value()(r, c), want(r, c),
+                    1e-12 * std::fabs(want(r, c)))
+            << "row " << r << " col " << c << " lambda " << lambda;
+      }
+    }
+  }
+}
+
+TEST(HyperFeatureTest, GradientsMatchFiniteDifferencesOnRandomInputs) {
+  RandomLevel level(20, 5, 2, 80);
+  ASSERT_FALSE(level.asg.kept_pair_indices.empty());
+  util::Rng rng(81);
+  HyperFeatureInit init(5, &rng);
+  std::vector<double> pre;
+  ConcatFormulaHyperInit(level.sel, level.asg, level.scores.pair_phi.value(),
+                         level.h.value(), init.weight().value(),
+                         init.attention().value(), &pre);
+  ASSERT_GT(CountNegative(pre), 0u);
+  ASSERT_LT(CountNegative(pre), pre.size());
+  // φ is held fixed (a constant input here), so these are Eq. 3's own
+  // gradients; the chain through Eq. 2 is GradientsReachInputRepresentations.
+  auto loss = [&] {
+    Variable x_k =
+        init.Initialise(level.sel, level.asg, level.scores, level.h);
+    util::Rng wrng(82);
+    Matrix w = Matrix::Gaussian(x_k.rows(), x_k.cols(), 1.0, &wrng);
+    return autograd::Sum(autograd::CwiseMul(x_k, Variable::Constant(w)));
+  };
+  ExpectGradientsMatch(init.weight(), loss, 1e-5, 5e-6);
+  ExpectGradientsMatch(init.attention(), loss, 1e-5, 5e-6);
+  ExpectGradientsMatch(level.h, loss, 1e-5, 5e-6);
 }
 
 TEST(UnpoolingTest, RestoresOriginalRowCount) {

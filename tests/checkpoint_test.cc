@@ -179,6 +179,10 @@ TEST(TrainingCheckpointTest, KillDuringSaveAtEveryStepPreservesPrevious) {
         case util::FaultOp::kWrite: plan.fail_write_at = n; break;
         case util::FaultOp::kFsync: plan.fail_fsync_at = n; break;
         case util::FaultOp::kRename: plan.fail_rename_at = n; break;
+        // Checkpoint writes never allocate through the fault hooks or poll
+        // a deadline; the sweep does not visit these ops.
+        case util::FaultOp::kAlloc: break;
+        case util::FaultOp::kDeadlineCheck: break;
       }
       util::ScopedFaultPlan scoped(plan);
       util::Status st = SaveTrainingCheckpoint(

@@ -1,4 +1,6 @@
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "graph/sparse_matrix.h"
@@ -10,6 +12,7 @@
 #include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/module.h"
+#include "nn/pair_logits.h"
 #include "nn/sage_conv.h"
 #include "tensor/kernels.h"
 #include "test_util.h"
@@ -19,7 +22,10 @@
 namespace adamgnn::nn {
 namespace {
 
+using adamgnn::testing::CountNegative;
 using adamgnn::testing::ExpectGradientsMatch;
+using adamgnn::testing::LeakyReluSegmentSoftmax;
+using adamgnn::testing::RingWithChords;
 using adamgnn::testing::TwoTriangles;
 using autograd::Variable;
 using tensor::Matrix;
@@ -153,6 +159,112 @@ TEST(GatConvTest, ParameterGradients) {
         p, [&] { return WeightedSum(conv.Forward(idx, x), 13); },
         1e-5, 5e-6);
   }
+}
+
+TEST(GatConvTest, MatchesConcatFormula) {
+  // h'_v = Σ_u α_uv z_u + b, α = softmax over v's in-edges of
+  // LeakyReLU([a_src; a_dst]ᵀ (z_u ‖ z_v)), evaluated edge by edge.
+  graph::Graph g = RingWithChords(20, 5, 12, 90);
+  auto idx = GatConv::BuildEdgeIndex(g);
+  util::Rng rng(91);
+  GatConv conv(5, 4, &rng);
+  std::vector<Variable> params = conv.Parameters();  // W, a_src, a_dst, b
+  params[3].mutable_value() = Matrix::Gaussian(1, 4, 1.0, &rng);
+  Matrix x = Matrix::Gaussian(20, 5, 1.0, &rng);
+  Matrix out = conv.Forward(idx, Variable::Constant(x)).value();
+
+  const Matrix& w = params[0].value();
+  Matrix z(20, 4);
+  for (size_t r = 0; r < 20; ++r) {
+    for (size_t c = 0; c < 4; ++c) {
+      for (size_t k = 0; k < 5; ++k) z(r, c) += x(r, k) * w(k, c);
+    }
+  }
+  const size_t m = idx->num_edges();
+  std::vector<double> pre(m, 0.0);
+  for (size_t e = 0; e < m; ++e) {
+    for (size_t c = 0; c < 4; ++c) {
+      pre[e] += params[1].value()(c, 0) * z(idx->src[e], c) +
+                params[2].value()(c, 0) * z(idx->dst[e], c);
+    }
+  }
+  const std::vector<double> alpha = LeakyReluSegmentSoftmax(pre, idx->dst, 20);
+  Matrix want(20, 4);
+  for (size_t v = 0; v < 20; ++v) {
+    for (size_t c = 0; c < 4; ++c) want(v, c) = params[3].value()(0, c);
+  }
+  for (size_t e = 0; e < m; ++e) {
+    for (size_t c = 0; c < 4; ++c) {
+      want(idx->dst[e], c) += alpha[e] * z(idx->src[e], c);
+    }
+  }
+  ASSERT_GT(CountNegative(pre), 0u);
+  ASSERT_LT(CountNegative(pre), m);
+  for (size_t v = 0; v < 20; ++v) {
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_NEAR(out(v, c), want(v, c), 1e-12 * std::fabs(want(v, c)))
+          << "node " << v << " col " << c;
+    }
+  }
+}
+
+// LeakyReLU(aᵀ (s·x_l ‖ x_r)) per pair, from the stacked a = [a_l; a_r].
+std::vector<double> ConcatPairLogits(const Matrix& x, const Matrix& a,
+                                     const std::vector<size_t>& left,
+                                     const std::vector<size_t>& right,
+                                     const Matrix& scale,
+                                     std::vector<double>* pre) {
+  const size_t d = x.cols();
+  std::vector<double> out(left.size());
+  pre->assign(left.size(), 0.0);
+  for (size_t p = 0; p < left.size(); ++p) {
+    for (size_t k = 0; k < d; ++k) {
+      (*pre)[p] += a(k, 0) * scale(p, 0) * x(left[p], k) +
+                   a(d + k, 0) * x(right[p], k);
+    }
+    out[p] = (*pre)[p] > 0 ? (*pre)[p] : 0.2 * (*pre)[p];
+  }
+  return out;
+}
+
+TEST(PairLogitsTest, MatchesConcatFormulaAndGradients) {
+  util::Rng rng(95);
+  const size_t n = 9, d = 4, m = 40;
+  Variable x = Variable::Parameter(Matrix::Gaussian(n, d, 1.0, &rng));
+  Variable a = Variable::Parameter(Matrix::Gaussian(2 * d, 1, 1.0, &rng));
+  Variable scale = Variable::Parameter(Matrix::Gaussian(m, 1, 1.0, &rng));
+  std::vector<size_t> left(m), right(m);
+  for (size_t p = 0; p < m; ++p) {
+    left[p] = static_cast<size_t>(rng.NextUint64(n));
+    right[p] = static_cast<size_t>(rng.NextUint64(n));
+  }
+  Variable halves = AttentionHalves(a);
+  ASSERT_EQ(halves.rows(), d);
+  ASSERT_EQ(halves.cols(), 2u);
+  for (size_t k = 0; k < d; ++k) {
+    EXPECT_EQ(halves.value()(k, 0), a.value()(k, 0));
+    EXPECT_EQ(halves.value()(k, 1), a.value()(d + k, 0));
+  }
+
+  std::vector<double> pre;
+  std::vector<double> want =
+      ConcatPairLogits(x.value(), a.value(), left, right, scale.value(), &pre);
+  ASSERT_GT(CountNegative(pre), 0u);
+  ASSERT_LT(CountNegative(pre), m);
+  Matrix got = PairLogits(x, halves, left, right, scale).value();
+  ASSERT_EQ(got.rows(), m);
+  for (size_t p = 0; p < m; ++p) {
+    EXPECT_NEAR(got(p, 0), want[p], 1e-12 * std::fabs(want[p]))
+        << "pair " << p;
+  }
+
+  auto loss = [&] {
+    return WeightedSum(PairLogits(x, AttentionHalves(a), left, right, scale),
+                       96);
+  };
+  ExpectGradientsMatch(x, loss);
+  ExpectGradientsMatch(a, loss);
+  ExpectGradientsMatch(scale, loss);
 }
 
 TEST(GinConvTest, EpsilonAffectsOutput) {

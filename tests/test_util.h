@@ -4,8 +4,10 @@
 #ifndef ADAMGNN_TESTS_TEST_UTIL_H_
 #define ADAMGNN_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "autograd/variable.h"
 #include "graph/builder.h"
@@ -42,6 +44,34 @@ inline void ExpectGradientsMatch(
   }
 }
 
+/// Reference attention weights, entry by entry: the softmax within each
+/// segment of LeakyReLU(pre, 0.2). segments[i] < num_segments.
+inline std::vector<double> LeakyReluSegmentSoftmax(
+    const std::vector<double>& pre, const std::vector<size_t>& segments,
+    size_t num_segments) {
+  std::vector<double> logit(pre.size()), out(pre.size());
+  std::vector<double> seg_max(num_segments, -INFINITY);
+  std::vector<double> seg_sum(num_segments, 0.0);
+  for (size_t i = 0; i < pre.size(); ++i) {
+    logit[i] = pre[i] > 0 ? pre[i] : 0.2 * pre[i];
+    seg_max[segments[i]] = std::max(seg_max[segments[i]], logit[i]);
+  }
+  for (size_t i = 0; i < pre.size(); ++i) {
+    seg_sum[segments[i]] += std::exp(logit[i] - seg_max[segments[i]]);
+  }
+  for (size_t i = 0; i < pre.size(); ++i) {
+    out[i] = std::exp(logit[i] - seg_max[segments[i]]) / seg_sum[segments[i]];
+  }
+  return out;
+}
+
+/// Number of negative entries; attention tests use it to show that both
+/// LeakyReLU branches were taken.
+inline size_t CountNegative(const std::vector<double>& xs) {
+  return static_cast<size_t>(
+      std::count_if(xs.begin(), xs.end(), [](double x) { return x < 0; }));
+}
+
 /// A small fixed graph: two triangles bridged by one edge (6 nodes), with
 /// 4-dim features and binary labels by triangle.
 inline graph::Graph TwoTriangles() {
@@ -70,6 +100,29 @@ inline graph::Graph Ring(size_t n, size_t f, uint64_t seed = 11) {
   std::vector<int> labels(n);
   for (size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % 2);
   builder.SetLabels(labels).CheckOK();
+  return std::move(builder).Build().ValueOrDie();
+}
+
+/// Ring(n, f) plus `chords` random extra edges, so ego-networks differ in
+/// size; duplicate chords coalesce.
+inline graph::Graph RingWithChords(size_t n, size_t f, size_t chords,
+                                   uint64_t seed) {
+  graph::GraphBuilder builder(n);
+  for (size_t i = 0; i < n; ++i) {
+    builder
+        .AddEdge(static_cast<graph::NodeId>(i),
+                 static_cast<graph::NodeId>((i + 1) % n))
+        .CheckOK();
+  }
+  util::Rng rng(seed);
+  for (size_t c = 0; c < chords; ++c) {
+    const size_t u = static_cast<size_t>(rng.NextUint64(n));
+    const size_t v = (u + 2 + static_cast<size_t>(rng.NextUint64(n - 3))) % n;
+    builder
+        .AddEdge(static_cast<graph::NodeId>(u), static_cast<graph::NodeId>(v))
+        .CheckOK();
+  }
+  builder.SetFeatures(tensor::Matrix::Gaussian(n, f, 1.0, &rng)).CheckOK();
   return std::move(builder).Build().ValueOrDie();
 }
 

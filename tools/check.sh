@@ -8,8 +8,9 @@
 # deadlines and allocation faults. The last two legs soak the hot-swap
 # machinery: a deterministic seeded chaos run under ASan and TSan, and a
 # live serve-loop drilled through reload, rollback, and SIGTERM drain.
-# A final leg runs the repo benchmark's serve_fresh workload, whose
-# responses must match a fresh session bitwise.
+# The final legs run two repo benchmark workloads: serve_fresh, whose
+# responses must match a fresh session bitwise, and traced train_sbm, whose
+# trajectory must match the untraced trainer's bitwise.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -267,5 +268,11 @@ echo "==> repo benchmark: serve_fresh response check"
 # any mismatch or failed request, so it guards the one-forward serving path
 # end to end. perfbench/run.sh builds its own tree under .bench_build/.
 bash perfbench/run.sh --workload serve_fresh --seed 1 --seconds 5 --trace 0
+
+echo "==> repo benchmark: train_sbm trajectory check"
+# The traced train_sbm run replays the training trajectory with obs on and
+# fails unless its per-epoch losses and test accuracy equal the untraced
+# trainer's bitwise, and unless test accuracy clears the workload's floor.
+bash perfbench/run.sh --workload train_sbm --seed 1 --seconds 1 --trace 1
 
 echo "==> all checks passed"
