@@ -1,24 +1,23 @@
-// End-to-end proof for the sparse training-path engine: trains the AdamGNN
-// node classifier twice on the same synthetic workload — once with the
-// legacy configuration (scatter SpMMᵀ, no workspace arena) and once with the
-// engine configuration (cached-transpose gather SpMMᵀ + workspace arena) —
-// and writes per-epoch wall times to BENCH_epoch.json.
+// End-to-end proof for the sparse training path: trains the AdamGNN node
+// classifier on one synthetic workload in repeated rounds and writes
+// per-epoch wall times to BENCH_epoch.json.
 //
-// The acceptance gate is determinism-shaped: every engine-configuration
-// round — metrics on, metrics off, and an extra round at an alternate
-// thread count — must produce a bitwise-identical per-epoch loss
-// trajectory, and the legacy rounds must be bitwise-identical among
-// themselves. Legacy vs engine is compared to tolerance (the legacy
-// scatter's partial-sum merge order differs from the engine's plain
-// ascending fold at multi-chunk shapes); the max relative loss difference
-// is reported and gated. The binary exits nonzero on any violation.
+// Gates (the binary exits nonzero on any violation):
+//   - Determinism. Every round — metrics on, metrics off, and one extra
+//     round at an alternate thread count — must produce a bitwise-identical
+//     per-epoch loss trajectory.
+//   - Observability overhead. Each repeat runs a metrics-on and a
+//     metrics-off round back to back, alternating which runs first, and
+//     takes the pair's relative warm-epoch difference. The gate fails only
+//     when the median of those paired overheads exceeds 2% AND exceeds
+//     their interquartile range: on a shared machine a single pair swings
+//     by more than the 2% budget, so a median inside the pairs' own spread
+//     is not evidence of overhead.
 //
-// Measurement protocol: the two configurations alternate for --repeats
-// rounds (L E L E ...), and each epoch's cost is the minimum across that
-// configuration's rounds. Because the loss trajectories are bitwise
-// identical, epoch i performs exactly the same work in every round, so the
-// min is an unbiased estimate of its true cost that filters scheduler noise
-// on shared machines — single interleaved runs were observed to swing ±30%.
+// Epoch timings: because the trajectories are bitwise identical, epoch i
+// performs exactly the same work in every round, so the reported epoch_ms
+// are per-epoch minima across the metrics-on rounds — an estimate of the
+// true cost that filters scheduler noise on shared machines.
 //
 // Flags:
 //   --json=PATH   output path (default BENCH_epoch.json)
@@ -27,16 +26,15 @@
 //   --epochs=N    epochs per run (default 6)
 //   --degree=N    average node degree of the SBM graph (default 16)
 //   --hidden=N    model hidden width (default 64)
-//   --repeats=N   interleaved rounds per configuration (default 3)
+//   --repeats=N   metrics-on/off round pairs (default 5)
 //   --threads=N   kernel pool size (default 4; see EpochBenchConfig)
 //                 Numeric values must be positive integers; a malformed
 //                 one (--nodes=abc) exits 2.
-//   --isa=NAME    force the kernel ISA (scalar|sse2|avx2); exits 1 if the
-//                 CPU cannot run it. Default: ADAMGNN_ISA env or the best
-//                 supported.
+//   --isa=NAME    force the kernel ISA (scalar|avx2); an unknown name exits
+//                 2, an ISA the CPU cannot run exits 1. Default:
+//                 ADAMGNN_ISA env or the best supported.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,10 +49,9 @@
 #include "data/sbm.h"
 #include "data/splits.h"
 #include "graph/builder.h"
-#include "graph/sparse_matrix.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "tensor/workspace.h"
+#include "tensor/isa.h"
 #include "train/node_trainer.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -67,21 +64,19 @@ struct EpochBenchConfig {
   size_t nodes = 20000;
   size_t feature_dim = 64;
   // At degree 16 the level-2 pooled graph densifies and the ego-pair
-  // tensors turn the epoch memory-bound — the regime the engine's arena,
-  // uninitialized acquires, and partial-free gathers target. Degree 8
+  // tensors turn the epoch memory-bound — the regime the workspace arena,
+  // uninitialized acquires, and row-parallel gathers target. Degree 8
   // keeps every level sparse and is the gentler configuration.
   size_t avg_degree = 16;
   int num_classes = 4;
   int epochs = 6;
   size_t hidden_dim = 64;
   int levels = 2;
-  int repeats = 3;
+  int repeats = 5;
   // Kernel pool size. Defaults to 4 rather than the machine's hardware
-  // concurrency so the comparison is reproducible across boxes: the legacy
-  // scatter kernels allocate, zero, and merge one partial output per chunk,
-  // and that overhead only appears once the pool actually splits work. On a
-  // machine with fewer hardware threads the workers timeslice — the partials
-  // are still real extra work, the gather engine still skips it. The JSON
+  // concurrency so runs are reproducible across boxes; the adaptive kernels
+  // consult the effective parallelism, never the requested size, so on a
+  // machine with fewer hardware threads they simply split less. The JSON
   // records hardware_concurrency and the effective pool size side by side.
   int threads = 4;
   uint64_t seed = 1;
@@ -89,7 +84,7 @@ struct EpochBenchConfig {
 
 // A hierarchical-SBM node-classification workload large enough that the
 // per-epoch sparse products clear the kernels' parallel-work gate
-// (nnz * cols >= 2^20) — the regime the engine targets. Features are
+// (nnz * cols >= 2^20) — the regime the row-parallel gathers target. Features are
 // structural (degree profiles), built in two stages like the featureless
 // synthetic datasets in data/node_datasets.cc.
 graph::Graph BuildWorkload(const EpochBenchConfig& cfg) {
@@ -125,6 +120,17 @@ struct RunResult {
   std::vector<double> epoch_seconds;
 };
 
+/// Mean wall time of the epochs after the first, in ms (epoch 0 pays the
+/// one-time GraphPlan build: ego enumeration, Â and its transposed view).
+double WarmEpochMs(const std::vector<double>& epoch_seconds) {
+  if (epoch_seconds.size() < 2) {
+    return epoch_seconds.empty() ? 0.0 : epoch_seconds.front() * 1e3;
+  }
+  double warm = 0.0;
+  for (size_t i = 1; i < epoch_seconds.size(); ++i) warm += epoch_seconds[i];
+  return warm / static_cast<double>(epoch_seconds.size() - 1) * 1e3;
+}
+
 /// Per-epoch cost summary for one configuration across its repeated rounds:
 /// epoch i's cost is the min over rounds (the rounds do bitwise-identical
 /// work, so the min strips scheduler noise).
@@ -148,30 +154,16 @@ CostSummary Summarize(const std::vector<RunResult>& rounds) {
     out.epoch_seconds[i] = best;
     out.total_seconds += best;
   }
-  if (epochs > 0) {
-    out.first_epoch_ms = out.epoch_seconds.front() * 1e3;
-    double warm = 0.0;
-    // Epoch 0 pays the one-time GraphPlan build (ego enumeration, Â and its
-    // transposed view); warm epochs are the steady state the engine targets.
-    for (size_t i = 1; i < epochs; ++i) warm += out.epoch_seconds[i];
-    out.warm_epoch_ms =
-        epochs > 1 ? warm / static_cast<double>(epochs - 1) * 1e3
-                   : out.first_epoch_ms;
-  }
+  if (epochs > 0) out.first_epoch_ms = out.epoch_seconds.front() * 1e3;
+  out.warm_epoch_ms = WarmEpochMs(out.epoch_seconds);
   return out;
 }
 
-// One full training run from a fresh, seed-identical model. `engine_on`
-// selects the gather engine + workspace arena; off reproduces main's
-// behavior (scatter kernel, plain allocation). `obs_on` toggles the
-// observability layer's runtime switch for the run (the overhead gate
-// compares engine runs with it on vs. off).
+// One full training run from a fresh, seed-identical model. `obs_on`
+// toggles the observability layer's runtime switch for the run (the
+// overhead gate compares runs with it on vs. off).
 RunResult RunOnce(const graph::Graph& g, const data::IndexSplit& split,
-                  const EpochBenchConfig& cfg, bool engine_on,
-                  bool obs_on = true) {
-  graph::SetSparseEngine(engine_on ? graph::SparseEngine::kCachedGather
-                                   : graph::SparseEngine::kLegacyScatter);
-  tensor::Workspace::SetEnabled(engine_on);
+                  const EpochBenchConfig& cfg, bool obs_on = true) {
   const bool obs_was_enabled = obs::Enabled();
   obs::SetEnabled(obs_on);
 
@@ -191,9 +183,6 @@ RunResult RunOnce(const graph::Graph& g, const data::IndexSplit& split,
   train::NodeTaskResult r =
       train::TrainNodeClassifier(&model, g, split, tc).ValueOrDie();
 
-  // Restore process defaults so nothing downstream inherits bench state.
-  graph::SetSparseEngine(graph::SparseEngine::kCachedGather);
-  tensor::Workspace::SetEnabled(true);
   obs::SetEnabled(obs_was_enabled);
 
   RunResult out;
@@ -222,16 +211,13 @@ bool TrajectoriesIdentical(
   return true;
 }
 
-/// Max relative per-epoch loss difference between two trajectories.
-double MaxRelLossDiff(const std::vector<double>& a,
-                      const std::vector<double>& b) {
-  double worst = 0.0;
-  const size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) {
-    worst = std::max(worst,
-                     std::abs(a[i] - b[i]) / std::max(1.0, std::abs(a[i])));
-  }
-  return a.size() == b.size() ? worst : 1.0;
+/// Linear-interpolated quantile q in [0, 1] of `v` (non-empty).
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
 void PrintEpochArray(std::FILE* f, const char* key,
@@ -255,66 +241,52 @@ int Run(const EpochBenchConfig& cfg, const std::string& json_path,
   data::IndexSplit split =
       data::SplitIndices(g.num_nodes(), 0.8, 0.1, &split_rng).ValueOrDie();
 
-  // Interleave the three configurations so slow machine drift hits all
-  // equally; per-epoch mins across rounds then strip the remaining spikes.
-  // The obs-off engine rounds isolate the observability layer's overhead —
-  // the metrics/span instrumentation is required to cost < 2% per warm
-  // epoch and to leave the loss trajectory bitwise unchanged.
-  std::vector<RunResult> legacy_rounds, engine_rounds, noobs_rounds;
+  // Paired rounds: each repeat runs metrics on and metrics off back to
+  // back, alternating which goes first so neither side always inherits the
+  // other's warm caches or a slow drift. The metrics must cost < 2% per
+  // warm epoch and leave the loss trajectory bitwise unchanged.
+  std::vector<RunResult> obs_rounds, noobs_rounds;
+  std::vector<double> paired_overhead_pct;
   for (int rep = 0; rep < cfg.repeats; ++rep) {
-    std::printf("round %d/%d: legacy (scatter SpMMT, no workspace), "
-                "%d epochs...\n",
-                rep + 1, cfg.repeats, cfg.epochs);
-    legacy_rounds.push_back(RunOnce(g, split, cfg, /*engine_on=*/false));
-    std::printf("round %d/%d: engine (cached gather SpMMT + workspace), "
-                "%d epochs...\n",
-                rep + 1, cfg.repeats, cfg.epochs);
-    engine_rounds.push_back(RunOnce(g, split, cfg, /*engine_on=*/true));
-    std::printf("round %d/%d: engine with metrics disabled, %d epochs...\n",
-                rep + 1, cfg.repeats, cfg.epochs);
-    noobs_rounds.push_back(
-        RunOnce(g, split, cfg, /*engine_on=*/true, /*obs_on=*/false));
+    const bool on_first = rep % 2 == 0;
+    for (const bool obs_on : {on_first, !on_first}) {
+      std::printf("round %d/%d: metrics %s, %d epochs...\n", rep + 1,
+                  cfg.repeats, obs_on ? "on" : "off", cfg.epochs);
+      (obs_on ? obs_rounds : noobs_rounds)
+          .push_back(RunOnce(g, split, cfg, obs_on));
+    }
+    const double on_ms = WarmEpochMs(obs_rounds.back().epoch_seconds);
+    const double off_ms = WarmEpochMs(noobs_rounds.back().epoch_seconds);
+    paired_overhead_pct.push_back((on_ms - off_ms) / std::max(off_ms, 1e-9) *
+                                  100.0);
   }
-  // One extra engine round at an alternate pool size: the adaptive strategy
+  // One extra round at an alternate pool size: the adaptive strategy
   // selector consults the pool, so this is the round that proves selection
   // changes speed, never bits.
   const int alt_threads = cfg.threads == 2 ? 3 : 2;
-  std::printf("extra round: engine at %d threads (bitwise check)...\n",
-              alt_threads);
+  std::printf("extra round: %d threads (bitwise check)...\n", alt_threads);
   util::SetNumThreads(alt_threads);
   std::vector<RunResult> alt_rounds;
-  alt_rounds.push_back(RunOnce(g, split, cfg, /*engine_on=*/true));
+  alt_rounds.push_back(RunOnce(g, split, cfg));
   util::SetNumThreads(cfg.threads);
 
-  const CostSummary legacy = Summarize(legacy_rounds);
-  const CostSummary engine = Summarize(engine_rounds);
+  const CostSummary engine = Summarize(obs_rounds);
   const CostSummary noobs = Summarize(noobs_rounds);
-  std::printf("legacy:          first epoch %8.1f ms, warm epochs %8.1f ms\n",
-              legacy.first_epoch_ms, legacy.warm_epoch_ms);
-  std::printf("engine:          first epoch %8.1f ms, warm epochs %8.1f ms\n",
+  std::printf("metrics on:  first epoch %8.1f ms, warm epochs %8.1f ms\n",
               engine.first_epoch_ms, engine.warm_epoch_ms);
-  std::printf("engine (no obs): first epoch %8.1f ms, warm epochs %8.1f ms\n",
+  std::printf("metrics off: first epoch %8.1f ms, warm epochs %8.1f ms\n",
               noobs.first_epoch_ms, noobs.warm_epoch_ms);
 
-  // Engine determinism: metrics on/off and the alternate thread count must
-  // not move a single bit. Legacy determinism: its rounds agree with each
-  // other. Cross-engine: tolerance, with the max relative diff reported.
-  const bool engine_bitwise = TrajectoriesIdentical(
-      {&engine_rounds, &noobs_rounds, &alt_rounds});
-  const bool legacy_bitwise = TrajectoriesIdentical({&legacy_rounds});
-  const double cross_rel_diff = MaxRelLossDiff(
-      engine_rounds.front().losses, legacy_rounds.front().losses);
-  const bool cross_ok = cross_rel_diff <= 1e-6;
-  const double speedup_warm =
-      legacy.warm_epoch_ms / std::max(engine.warm_epoch_ms, 1e-9);
-  const double speedup_total =
-      legacy.total_seconds / std::max(engine.total_seconds, 1e-9);
-  const double obs_overhead_pct =
-      (engine.warm_epoch_ms - noobs.warm_epoch_ms) /
-      std::max(noobs.warm_epoch_ms, 1e-9) * 100.0;
+  // Metrics on/off and the alternate thread count must not move a bit.
+  const bool bitwise =
+      TrajectoriesIdentical({&obs_rounds, &noobs_rounds, &alt_rounds});
+  const double obs_overhead_pct = Quantile(paired_overhead_pct, 0.5);
+  const double obs_overhead_iqr = Quantile(paired_overhead_pct, 0.75) -
+                                  Quantile(paired_overhead_pct, 0.25);
   // Smoke epochs are sub-millisecond, where one scheduler blip swamps the
   // percentage; the gate only binds on the full-size workload.
-  const bool obs_gate_ok = smoke || obs_overhead_pct < 2.0;
+  const bool obs_gate_ok = smoke || obs_overhead_pct <= 2.0 ||
+                           obs_overhead_pct <= obs_overhead_iqr;
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
@@ -333,76 +305,55 @@ int Run(const EpochBenchConfig& cfg, const std::string& json_path,
                cfg.hidden_dim, cfg.levels, cfg.epochs, cfg.repeats);
   std::fprintf(f,
                "  \"comment\": \"epoch_ms are per-epoch minima across the "
-               "interleaved rounds; the rounds do bitwise-identical work, so "
+               "metrics-on rounds; the rounds do bitwise-identical work, so "
                "the min strips scheduler noise\",\n");
-  std::fprintf(f, "  \"legacy_scatter\": {\n");
-  PrintEpochArray(f, "epoch_ms", legacy.epoch_seconds);
-  std::fprintf(f, "    \"first_epoch_ms\": %.1f,\n", legacy.first_epoch_ms);
-  std::fprintf(f, "    \"warm_epoch_ms\": %.1f\n  },\n",
-               legacy.warm_epoch_ms);
   std::fprintf(f, "  \"engine\": {\n");
   PrintEpochArray(f, "epoch_ms", engine.epoch_seconds);
   std::fprintf(f, "    \"first_epoch_ms\": %.1f,\n", engine.first_epoch_ms);
   std::fprintf(f, "    \"warm_epoch_ms\": %.1f\n  },\n",
                engine.warm_epoch_ms);
-  std::fprintf(f, "  \"speedup_per_epoch\": %.2f,\n", speedup_warm);
-  std::fprintf(f, "  \"speedup_total\": %.2f,\n", speedup_total);
   std::fprintf(f, "  \"obs\": {\n");
   std::fprintf(f, "    \"enabled_warm_epoch_ms\": %.1f,\n",
                engine.warm_epoch_ms);
   std::fprintf(f, "    \"disabled_warm_epoch_ms\": %.1f,\n",
                noobs.warm_epoch_ms);
+  std::fprintf(f, "    \"paired_overhead_pct\": [");
+  for (size_t i = 0; i < paired_overhead_pct.size(); ++i) {
+    std::fprintf(f, "%s%.2f", i == 0 ? "" : ", ", paired_overhead_pct[i]);
+  }
+  std::fprintf(f, "],\n");
   std::fprintf(f, "    \"overhead_pct\": %.2f,\n", obs_overhead_pct);
-  std::fprintf(f, "    \"gate\": \"overhead_pct < 2.0 (full-size runs)\",\n");
+  std::fprintf(f, "    \"overhead_iqr_pct\": %.2f,\n", obs_overhead_iqr);
+  std::fprintf(f,
+               "    \"gate\": \"median paired overhead_pct <= 2.0 or <= "
+               "its IQR (full-size runs)\",\n");
   std::fprintf(f, "    \"gate_ok\": %s\n  },\n", obs_gate_ok ? "true"
                                                              : "false");
   std::fprintf(f, "  \"engine_alt_threads\": %d,\n", alt_threads);
-  std::fprintf(f, "  \"loss_trajectory_bitwise_identical\": %s,\n",
-               engine_bitwise ? "true" : "false");
-  std::fprintf(f, "  \"legacy_trajectory_bitwise_identical\": %s,\n",
-               legacy_bitwise ? "true" : "false");
-  std::fprintf(f,
-               "  \"legacy_vs_engine\": {\"max_rel_loss_diff\": %.3g, "
-               "\"gate\": \"<= 1e-6\", \"gate_ok\": %s}\n}\n",
-               cross_rel_diff, cross_ok ? "true" : "false");
+  std::fprintf(f, "  \"loss_trajectory_bitwise_identical\": %s\n}\n",
+               bitwise ? "true" : "false");
   std::fclose(f);
 
+  std::printf("trajectory (metrics on/off, threads %d/%d): %s\n",
+              cfg.threads, alt_threads,
+              bitwise ? "bitwise-identical" : "MISMATCH");
   std::printf(
-      "per-epoch speedup %.2fx (total %.2fx)\n"
-      "engine trajectory (obs on/off, threads %d/%d): %s\n"
-      "legacy trajectory across rounds: %s\n"
-      "legacy vs engine max rel loss diff %.3g (gate <= 1e-6: %s)\n",
-      speedup_warm, speedup_total, cfg.threads, alt_threads,
-      engine_bitwise ? "bitwise-identical" : "MISMATCH",
-      legacy_bitwise ? "bitwise-identical" : "MISMATCH",
-      cross_rel_diff, cross_ok ? "ok" : "FAIL");
-  std::printf("metrics overhead %+.2f%% per warm epoch (gate: < 2%%%s)\n",
-              obs_overhead_pct, smoke ? ", not binding in --smoke" : "");
+      "metrics overhead %+.2f%% per warm epoch, median of %zu pairs, IQR "
+      "%.2f (gate: <= 2%% or <= IQR%s)\n",
+      obs_overhead_pct, paired_overhead_pct.size(), obs_overhead_iqr,
+      smoke ? ", not binding in --smoke" : "");
   std::printf("wrote %s\n", json_path.c_str());
-  if (!engine_bitwise) {
+  if (!bitwise) {
     std::fprintf(stderr,
-                 "FAIL: engine rounds (obs on/off, alternate threads) did "
-                 "not reproduce the loss trajectory bitwise\n");
-    return 1;
-  }
-  if (!legacy_bitwise) {
-    std::fprintf(stderr,
-                 "FAIL: legacy rounds did not reproduce each other "
-                 "bitwise\n");
-    return 1;
-  }
-  if (!cross_ok) {
-    std::fprintf(stderr,
-                 "FAIL: legacy and engine loss trajectories differ by "
-                 "%.3g (budget: 1e-6)\n",
-                 cross_rel_diff);
+                 "FAIL: rounds (metrics on/off, alternate threads) did not "
+                 "reproduce the loss trajectory bitwise\n");
     return 1;
   }
   if (!obs_gate_ok) {
     std::fprintf(stderr,
                  "FAIL: metrics instrumentation costs %.2f%% per warm epoch "
-                 "(budget: 2%%)\n",
-                 obs_overhead_pct);
+                 "(median of paired rounds; budget: 2%%, IQR %.2f)\n",
+                 obs_overhead_pct, obs_overhead_iqr);
     return 1;
   }
   return 0;
@@ -456,9 +407,9 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--isa=", 6) == 0) {
       adamgnn::tensor::Isa isa;
       if (!adamgnn::tensor::ParseIsa(argv[i] + 6, &isa)) {
-        std::fprintf(stderr, "--isa must be scalar|sse2|avx2, got \"%s\"\n",
+        std::fprintf(stderr, "--isa must be scalar|avx2, got \"%s\"\n",
                      argv[i] + 6);
-        return 1;
+        return 2;
       }
       if (!adamgnn::tensor::SetIsa(isa)) {
         std::fprintf(

@@ -21,47 +21,16 @@ namespace {
 // Grains come from tensor/tuning.h (single source of truth shared with
 // graph/sparse_matrix.cc and tensor/kernels.cc); inner loops run through the
 // per-ISA lane primitives of tensor/simd_ops.h, which use no FMA at any ISA
-// — so SpMMValues results are bitwise-identical across scalar/sse2/avx2.
+// — so SpMMValues results are bitwise-identical across scalar/avx2.
 
-// Legacy engine: out(out_rows[k], :) += weight(k) * x(in_rows[k], :) for k
-// in [0, nnz), scattered through per-chunk partials merged in chunk order.
-// The entry-chunk decomposition is a pure function of the shapes, so the
-// merge — and the result — is bitwise-identical at every thread count.
-template <typename WeightFn>
-void ScatterRows(const SparsePattern& pattern,
-                 const std::vector<size_t>& out_rows,
-                 const std::vector<size_t>& in_rows, WeightFn weight,
-                 const Matrix& x, Matrix* out) {
-  const size_t nnz = pattern.nnz();
-  const size_t d = x.cols();
-  if (nnz == 0) return;
-  const std::vector<util::ChunkRange> chunks = util::SplitRange(
-      0, nnz, tensor::tuning::LegacyEntryScatterGrain(nnz, nnz * d));
-  std::vector<Matrix> partials;
-  for (size_t ci = 1; ci < chunks.size(); ++ci) {
-    partials.emplace_back(out->rows(), d);
-  }
-  util::ParallelForChunks(chunks.size(), [&](size_t ci) {
-    Matrix& dst = ci == 0 ? *out : partials[ci - 1];
-    for (size_t k = chunks[ci].begin; k < chunks[ci].end; ++k) {
-      const double v = weight(k);
-      const double* xr = x.row(in_rows[k]);
-      double* orow = dst.row(out_rows[k]);
-      for (size_t j = 0; j < d; ++j) orow[j] += v * xr[j];
-    }
-  });
-  for (const Matrix& partial : partials) *out += partial;
-}
-
-// Engine counterpart of ScatterRows with adaptive strategy selection.
-// `transpose=false` computes out(row, :) += w(k) * x(col, :) (forward);
-// `transpose=true` swaps the index roles (the dx backward). Both strategies
-// fold each output row's contributions in ascending entry order into the
-// zero-initialized `out`, so they produce identical bits — to each other and
-// to a plain serial loop — at every ISA and thread count. The serial
-// strategy additionally skips building (and caching) the entry groups: the
-// right call when the pool cannot help or the multiply is small.
-void EngineSpmm(const SparsePattern& pattern, bool transpose, const double* w,
+// out(row, :) += w(k) * x(col, :) for every entry k, with adaptive strategy
+// selection; `transpose=true` swaps the index roles (the dx backward). Both
+// strategies fold each output row's contributions in ascending entry order
+// into the zero-initialized `out`, so they produce identical bits — to each
+// other and to a plain serial loop — at every ISA and thread count. The
+// serial strategy additionally skips building (and caching) the entry
+// groups: the right call when the pool cannot help or the multiply is small.
+void EntrySpmm(const SparsePattern& pattern, bool transpose, const double* w,
                 const Matrix& x, Matrix* out) {
   const size_t nnz = pattern.nnz();
   const size_t d = x.cols();
@@ -163,33 +132,18 @@ Variable SpMMTranspose(std::shared_ptr<const graph::SparseMatrix> s,
                                       }));
 }
 
-namespace {
-
-// The forward kernel of SpMMValues (same deterministic chunking).
-Matrix SpMMValuesForward(const SparsePattern& pattern, const Matrix& values,
-                         const Matrix& x) {
-  ADAMGNN_CHECK_EQ(values.rows(), pattern.nnz());
-  ADAMGNN_CHECK_EQ(values.cols(), 1u);
-  ADAMGNN_CHECK_EQ(pattern.cols, x.rows());
-  Matrix out(pattern.rows, x.cols());
-  if (graph::GetSparseEngine() == graph::SparseEngine::kLegacyScatter) {
-    ScatterRows(pattern, pattern.row_indices, pattern.col_indices,
-                [&values](size_t k) { return values(k, 0); }, x, &out);
-  } else {
-    EngineSpmm(pattern, /*transpose=*/false, values.data(), x, &out);
-  }
-  return out;
-}
-
-}  // namespace
-
 Variable SpMMValues(std::shared_ptr<const SparsePattern> pattern,
                     const Variable& values, const Variable& x) {
   ADAMGNN_CHECK(pattern != nullptr);
   auto pv = values.node();
   auto px = x.node();
 
-  Matrix out = SpMMValuesForward(*pattern, values.value(), x.value());
+  ADAMGNN_CHECK_EQ(values.rows(), pattern->nnz());
+  ADAMGNN_CHECK_EQ(values.cols(), 1u);
+  ADAMGNN_CHECK_EQ(pattern->cols, x.rows());
+  Matrix out(pattern->rows, x.cols());
+  EntrySpmm(*pattern, /*transpose=*/false, values.value().data(), x.value(),
+            &out);
 
   return Variable::FromNode(NewOpNode(
       std::move(out), {pv, px}, [pattern, pv, px](Node& self) {
@@ -216,18 +170,10 @@ Variable SpMMValues(std::shared_ptr<const SparsePattern> pattern,
         }
         if (px->requires_grad) {
           // dx rows through the transposed pattern: gather per dx row via
-          // the cached column groups (legacy: scatter through partials).
+          // the cached column groups.
           Matrix dx(px->value.rows(), d);
-          const Matrix& vals = pv->value;
-          if (graph::GetSparseEngine() ==
-              graph::SparseEngine::kLegacyScatter) {
-            ScatterRows(*pattern, pattern->col_indices, pattern->row_indices,
-                        [&vals](size_t k) { return vals(k, 0); }, self.grad,
-                        &dx);
-          } else {
-            EngineSpmm(*pattern, /*transpose=*/true, vals.data(), self.grad,
-                       &dx);
-          }
+          EntrySpmm(*pattern, /*transpose=*/true, pv->value.data(), self.grad,
+                    &dx);
           AccumulateGrad(px.get(), dx);
         }
       }));

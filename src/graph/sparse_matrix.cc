@@ -11,12 +11,10 @@
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
-// Grains and strategy selection come from tensor/tuning.h (the former local
-// GatherGrain/ScatterGrain copies are deduped there); the row-gather inner
-// loops run through the per-ISA vtable in tensor/simd_ops.h. The lane
+// Grains and strategy selection come from tensor/tuning.h; the row-gather
+// inner loops run through the per-ISA vtable in tensor/simd_ops.h. The lane
 // primitives use no FMA at any ISA, so SpMM results are bitwise-identical
-// across scalar/sse2/avx2 and identical to the plain serial loops they
-// replaced.
+// across scalar/avx2 and identical to plain ascending serial loops.
 
 namespace adamgnn::graph {
 
@@ -196,14 +194,6 @@ bool SparseMatrix::transpose_view_built() const {
 tensor::Matrix SparseMatrix::TransposeMultiplyDense(
     const tensor::Matrix& x) const {
   ADAMGNN_CHECK_EQ(rows_, x.rows());
-  if (GetSparseEngine() == SparseEngine::kLegacyScatter) {
-    return TransposeMultiplyDenseScatter(x);
-  }
-  return TransposeMultiplyDenseGather(x);
-}
-
-tensor::Matrix SparseMatrix::TransposeMultiplyDenseGather(
-    const tensor::Matrix& x) const {
   if (rows_ == 0 || nnz() == 0) return tensor::Matrix(cols_, x.cols());
   const size_t d = x.cols();
   const tensor::SimdOps* ops = tensor::ActiveOps();
@@ -238,37 +228,6 @@ tensor::Matrix SparseMatrix::TransposeMultiplyDenseGather(
   util::ParallelFor(
       0, cols_, tensor::tuning::GatherRowGrain(cols_, nnz() * d, ep),
       [&](size_t c0, size_t c1) { ops->gather_rows(spec, c0, c1); });
-  return out;
-}
-
-tensor::Matrix SparseMatrix::TransposeMultiplyDenseScatter(
-    const tensor::Matrix& x) const {
-  tensor::Matrix out(cols_, x.cols());
-  if (rows_ == 0) return out;
-  // Scatter: a column index can appear in many rows, so chunks accumulate
-  // into private partials that are merged in ascending chunk order. The
-  // chunk decomposition depends only on the shapes, which keeps the merge —
-  // and the result — bitwise-identical at every thread count. A single
-  // chunk writes straight into `out`, matching the plain serial loop.
-  const std::vector<util::ChunkRange> chunks = util::SplitRange(
-      0, rows_,
-      tensor::tuning::LegacySpmmScatterGrain(rows_, nnz() * x.cols()));
-  std::vector<tensor::Matrix> partials;
-  for (size_t ci = 1; ci < chunks.size(); ++ci) {
-    partials.emplace_back(cols_, x.cols());
-  }
-  util::ParallelForChunks(chunks.size(), [&](size_t ci) {
-    tensor::Matrix& dst = ci == 0 ? out : partials[ci - 1];
-    for (size_t r = chunks[ci].begin; r < chunks[ci].end; ++r) {
-      const double* xr = x.row(r);
-      for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-        const double v = values_[k];
-        double* oc = dst.row(col_indices_[k]);
-        for (size_t j = 0; j < x.cols(); ++j) oc[j] += v * xr[j];
-      }
-    }
-  });
-  for (const tensor::Matrix& partial : partials) out += partial;
   return out;
 }
 

@@ -9,11 +9,8 @@
 // (tensor/tuning.h). Every strategy folds each output row's contributions
 // in the same ascending source-row order through the per-ISA lane
 // primitives (tensor/simd_ops.h, no FMA), so the engine's results are
-// bitwise-identical across strategies, thread counts, and ISAs. The legacy
-// scatter-into-partials path is retained behind
-// SetSparseEngine(kLegacyScatter) as the A/B baseline; its chunk-partial
-// merge order differs from the plain fold at multi-chunk shapes, so the two
-// engines agree to tolerance there (bitwise at single-chunk shapes).
+// bitwise-identical across strategies, thread counts, and ISAs, and equal
+// to a plain serial loop that visits the source rows in ascending order.
 
 #ifndef ADAMGNN_GRAPH_SPARSE_MATRIX_H_
 #define ADAMGNN_GRAPH_SPARSE_MATRIX_H_
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "tensor/engine.h"
 #include "tensor/matrix.h"
 
 namespace adamgnn::graph {
@@ -36,13 +32,6 @@ struct Triplet {
   size_t col = 0;
   double value = 0.0;
 };
-
-// The engine switch lives in tensor/engine.h (the segment reductions there
-// honor it too); these re-exports keep graph::SetSparseEngine the public
-// spelling.
-using tensor::GetSparseEngine;
-using tensor::SetSparseEngine;
-using tensor::SparseEngine;
 
 /// Immutable sparse rows x cols matrix, CSR, column-sorted within each row,
 /// duplicate triplets coalesced by summation.
@@ -91,9 +80,8 @@ class SparseMatrix {
   /// this * dense. Shapes (r,c)(c,d) -> (r,d).
   tensor::Matrix MultiplyDense(const tensor::Matrix& x) const;
   /// thisᵀ * dense without materializing the transpose. Adaptive serial
-  /// scatter or gather over the cached transposed view (legacy
-  /// scatter-into-partials under kLegacyScatter). Engine strategies agree
-  /// bitwise with each other; the legacy engine agrees to tolerance.
+  /// scatter or gather over the cached transposed view; both strategies
+  /// agree bitwise.
   tensor::Matrix TransposeMultiplyDense(const tensor::Matrix& x) const;
 
   /// Builds the cached transposed-CSR view now (idempotent, thread-safe).
@@ -136,9 +124,6 @@ class SparseMatrix {
 
   std::shared_ptr<const TransposeView> EnsureTransposeView() const;
   void ResetTransposeCache() { tcache_ = std::make_shared<TransposeCache>(); }
-
-  tensor::Matrix TransposeMultiplyDenseGather(const tensor::Matrix& x) const;
-  tensor::Matrix TransposeMultiplyDenseScatter(const tensor::Matrix& x) const;
 
   size_t rows_ = 0;
   size_t cols_ = 0;

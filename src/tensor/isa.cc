@@ -18,15 +18,12 @@ Isa ProbeBestIsa() {
 #if defined(ADAMGNN_X86) && defined(__GNUC__)
   // kAvx2 implies FMA: the AVX2 GEMM microkernel uses _mm256_fmadd_pd, so a
   // CPU with AVX2 but no FMA (none shipping, but CPUID allows it) must fall
-  // back to SSE2.
+  // back to scalar.
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return Isa::kAvx2;
   }
-  if (__builtin_cpu_supports("sse2")) return Isa::kSse2;
-  return Isa::kScalar;
-#else
-  return Isa::kScalar;
 #endif
+  return Isa::kScalar;
 }
 
 // -1 = not yet resolved. Relaxed ordering is fine: the value is write-once
@@ -34,14 +31,16 @@ Isa ProbeBestIsa() {
 // re-resolve the same env value.
 std::atomic<int> g_active_isa{-1};
 
-Isa ResolveFromEnv() {
-  const Isa best = ProbeBestIsa();
+}  // namespace
+
+Isa IsaFromEnv() {
+  const Isa best = BestSupportedIsa();
   const char* env = std::getenv("ADAMGNN_ISA");
   if (env == nullptr || env[0] == '\0') return best;
   Isa requested;
   if (!ParseIsa(env, &requested)) {
     std::fprintf(stderr,
-                 "warning: ADAMGNN_ISA=%s is not scalar|sse2|avx2; using %s\n",
+                 "warning: ADAMGNN_ISA=%s is not scalar|avx2; using %s\n",
                  env, IsaName(best));
     return best;
   }
@@ -54,14 +53,10 @@ Isa ResolveFromEnv() {
   return requested;
 }
 
-}  // namespace
-
 const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
   }
@@ -71,8 +66,6 @@ const char* IsaName(Isa isa) {
 bool ParseIsa(const std::string& name, Isa* out) {
   if (name == "scalar") {
     *out = Isa::kScalar;
-  } else if (name == "sse2") {
-    *out = Isa::kSse2;
   } else if (name == "avx2") {
     *out = Isa::kAvx2;
   } else {
@@ -89,7 +82,7 @@ Isa BestSupportedIsa() {
 Isa ActiveIsa() {
   int v = g_active_isa.load(std::memory_order_relaxed);
   if (v < 0) {
-    v = static_cast<int>(ResolveFromEnv());
+    v = static_cast<int>(IsaFromEnv());
     g_active_isa.store(v, std::memory_order_relaxed);
   }
   return static_cast<Isa>(v);
@@ -105,8 +98,6 @@ const SimdOps* GetOps(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return simd::ScalarOps();
-    case Isa::kSse2:
-      return simd::Sse2Ops();
     case Isa::kAvx2:
       return simd::Avx2Ops();
   }

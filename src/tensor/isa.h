@@ -3,11 +3,11 @@
 
 #include <string>
 
-// Runtime ISA selection for the kernel backend. The library ships three
-// kernel variants compiled in separate translation units (scalar, SSE2,
-// AVX2+FMA); at process start the dispatcher probes the CPU and picks the
-// widest supported one. `ADAMGNN_ISA=scalar|sse2|avx2` (env) or `--isa`
-// (both CLIs) forces a narrower variant for reproducibility across
+// Runtime ISA selection for the kernel backend. The library ships two
+// kernel variants compiled in separate translation units (portable scalar
+// and AVX2+FMA); at process start the dispatcher probes the CPU and picks
+// AVX2+FMA when the CPU has both, else scalar. `ADAMGNN_ISA=scalar|avx2`
+// (env) or `--isa` (both CLIs) forces scalar for reproducibility across
 // machines.
 //
 // Determinism contract (see DESIGN.md "Kernel dispatch & determinism"):
@@ -17,18 +17,17 @@
 //     the elementwise primitives avoid FMA contraction entirely, so they are
 //     bitwise-identical across ALL ISAs.
 //   - Dense GEMM differs on avx2 only through explicit FMA in the
-//     microkernel: scalar and sse2 agree bitwise; avx2 agrees within an
-//     ULP-bounded tolerance (tests/isa_test.cc).
+//     microkernel: avx2 agrees with scalar within an ULP-bounded tolerance
+//     (tests/isa_test.cc).
 
 namespace adamgnn::tensor {
 
 enum class Isa : int {
   kScalar = 0,  // portable C++, no vector intrinsics
-  kSse2 = 1,    // 128-bit lanes (baseline on x86-64)
-  kAvx2 = 2,    // 256-bit lanes + FMA in the GEMM microkernel
+  kAvx2 = 1,    // 256-bit lanes + FMA in the GEMM microkernel
 };
 
-// Short lowercase name ("scalar", "sse2", "avx2").
+// Short lowercase name ("scalar", "avx2").
 const char* IsaName(Isa isa);
 
 // Parses an ISA name; returns false (and leaves *out untouched) on an
@@ -42,9 +41,13 @@ inline bool IsaSupported(Isa isa) {
   return static_cast<int>(isa) <= static_cast<int>(BestSupportedIsa());
 }
 
-// The ISA kernels currently dispatch to. Resolved on first use from
-// ADAMGNN_ISA (falling back to BestSupportedIsa on an absent/invalid value,
-// with a stderr warning for invalid ones).
+// The ISA that ADAMGNN_ISA asks for, resolved against this CPU:
+// BestSupportedIsa() when the variable is unset or empty, and — with a
+// stderr warning — when it names no ISA or one the CPU cannot run.
+Isa IsaFromEnv();
+
+// The ISA kernels currently dispatch to. Resolved on first use through
+// IsaFromEnv().
 Isa ActiveIsa();
 
 // Forces the active ISA process-wide. Returns false (no change) if the CPU

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/metrics.h"
-#include "tensor/engine.h"
 #include "tensor/isa.h"
 #include "tensor/simd_ops.h"
 #include "tensor/tuning.h"
@@ -19,7 +18,7 @@ namespace {
 // Elementwise thresholds and grains. These decompositions are pure
 // functions of the operand shapes — never of the thread count — so results
 // are bitwise-identical at any ADAMGNN_NUM_THREADS (see util/thread_pool.h).
-// GEMM and the gather-engine reductions additionally consult
+// GEMM and the sparse/segment reductions additionally consult
 // util::EffectiveParallelism() via tensor/tuning.h, which is safe because
 // their bits are invariant to the decomposition.
 constexpr size_t kElemGrain = size_t{1} << 14;  // elements per chunk
@@ -45,11 +44,8 @@ size_t RowGrain(size_t rows, size_t cols) {
 // which strategy the adaptive reductions picked.
 obs::Counter& GemmDispatchCounter(Isa isa) {
   static obs::Counter* scalar_calls = new obs::Counter("kernel.gemm.scalar");
-  static obs::Counter* sse2_calls = new obs::Counter("kernel.gemm.sse2");
   static obs::Counter* avx2_calls = new obs::Counter("kernel.gemm.avx2");
   switch (isa) {
-    case Isa::kSse2:
-      return *sse2_calls;
     case Isa::kAvx2:
       return *avx2_calls;
     default:
@@ -93,13 +89,13 @@ void ParallelCombineInto(const Matrix& a, const Matrix& b, Matrix* c, F f) {
 
 // ---------------------------------------------------------------------------
 // GEMM dispatch. The microkernels live in the per-ISA translation units
-// (kernels_{scalar,sse2,avx2}.cc, shared body in kernels_isa_body.inc);
+// (kernels_{scalar,avx2}.cc, shared body in kernels_isa_body.inc);
 // this layer packs B once, fans C rows across the pool, and hands each
 // chunk a Workspace-backed A-packing scratch. Per output element the fold
 // is a single accumulator over ascending k (K blocks accumulate in order),
 // so results are bitwise-identical at every thread count for a fixed ISA;
-// scalar and sse2 agree bitwise, avx2 differs only via its explicit
-// in-kernel FMA (ULP-bounded, see tests/isa_test.cc).
+// avx2 differs from scalar only via its explicit in-kernel FMA
+// (ULP-bounded, see tests/isa_test.cc).
 // ---------------------------------------------------------------------------
 
 // Packs b's 8-column panels into panel-major layout: panel j/8 occupies
@@ -418,18 +414,18 @@ void GroupRowsBySegment(const std::vector<size_t>& segments,
   }
 }
 
-/// Engine-path segment reduction with adaptive strategy selection. Both
-/// strategies fold each output row's sources in ascending source-row order
-/// through the per-ISA lane primitives (no FMA at any ISA), so they produce
-/// IDENTICAL bits — to each other, to the plain serial scatter loop, and
-/// across scalar/sse2/avx2. The choice is pure speed:
+/// Segment reduction with adaptive strategy selection. Both strategies fold
+/// each output row's sources in ascending source-row order through the
+/// per-ISA lane primitives (no FMA at any ISA), so they produce IDENTICAL
+/// bits — to each other, to the plain serial scatter loop, and across
+/// scalar/avx2. The choice is pure speed:
 ///   kSerialScatter  — one ascending pass, no grouping, no pool dispatch;
 ///                     wins when the pool cannot help or the work is small.
 ///   kParallelGather — counting-sort rows by segment, then one pool task
 ///                     per output-row range; no partial accumulators are
 ///                     allocated, zeroed, or merged.
-Matrix SegmentReduceEngine(const Matrix& a, const std::vector<size_t>& segments,
-                           size_t num_segments) {
+Matrix SegmentReduce(const Matrix& a, const std::vector<size_t>& segments,
+                     size_t num_segments) {
   const size_t rows = a.rows(), cols = a.cols();
   const SimdOps* ops = ActiveOps();
   const tuning::ReduceStrategy strategy = tuning::ChooseSegmentReduce(
@@ -459,59 +455,13 @@ Matrix SegmentReduceEngine(const Matrix& a, const std::vector<size_t>& segments,
 Matrix SegmentSum(const Matrix& a, const std::vector<size_t>& segments,
                   size_t num_segments) {
   ADAMGNN_CHECK_EQ(segments.size(), a.rows());
-  const size_t rows = a.rows(), cols = a.cols();
-  if (rows == 0) return Matrix(num_segments, cols);
-  if (GetSparseEngine() == SparseEngine::kCachedGather) {
-    return SegmentReduceEngine(a, segments, num_segments);
-  }
-  Matrix c(num_segments, cols);
-  // Legacy scatter with per-chunk partial accumulators, merged in ascending
-  // chunk order. The decomposition depends only on `rows`, so the merged
-  // result is bitwise-identical at every thread count; a single chunk (the
-  // common small case) accumulates straight into c exactly like the serial
-  // loop. NOTE: at multi-chunk shapes this summation order differs from the
-  // engine's plain ascending fold — the engines agree to tolerance, not
-  // bitwise (see DESIGN.md "Kernel dispatch & determinism").
-  const size_t grain = tuning::LegacySegmentScatterGrain(rows);
-  const std::vector<util::ChunkRange> chunks =
-      util::SplitRange(0, rows, grain);
-  std::vector<Matrix> partials;
-  partials.reserve(chunks.size() > 0 ? chunks.size() - 1 : 0);
-  for (size_t ci = 1; ci < chunks.size(); ++ci) {
-    partials.emplace_back(num_segments, cols);
-  }
-  util::ParallelForChunks(chunks.size(), [&](size_t ci) {
-    Matrix& dst = ci == 0 ? c : partials[ci - 1];
-    for (size_t r = chunks[ci].begin; r < chunks[ci].end; ++r) {
-      ADAMGNN_CHECK_LT(segments[r], num_segments);
-      double* cs = dst.row(segments[r]);
-      const double* ar = a.row(r);
-      for (size_t j = 0; j < cols; ++j) cs[j] += ar[j];
-    }
-  });
-  for (const Matrix& partial : partials) c += partial;
-  return c;
+  return SegmentReduce(a, segments, num_segments);
 }
 
 Matrix IndexAddRows(const Matrix& a, const std::vector<size_t>& index,
                     size_t num_rows) {
   ADAMGNN_CHECK_EQ(index.size(), a.rows());
-  const size_t rows = a.rows(), cols = a.cols();
-  if (rows == 0) return Matrix(num_rows, cols);
-  // The engine path is bitwise-identical to the serial loop below at every
-  // strategy (ascending-source left fold either way), so this branch only
-  // changes speed.
-  if (GetSparseEngine() == SparseEngine::kCachedGather) {
-    return SegmentReduceEngine(a, index, num_rows);
-  }
-  Matrix c(num_rows, cols);
-  for (size_t i = 0; i < rows; ++i) {
-    ADAMGNN_CHECK_LT(index[i], num_rows);
-    double* cs = c.row(index[i]);
-    const double* ar = a.row(i);
-    for (size_t j = 0; j < cols; ++j) cs[j] += ar[j];
-  }
-  return c;
+  return SegmentReduce(a, index, num_rows);
 }
 
 Matrix SegmentMean(const Matrix& a, const std::vector<size_t>& segments,

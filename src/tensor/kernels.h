@@ -6,15 +6,14 @@
 // are bitwise-identical at every thread count (ADAMGNN_NUM_THREADS /
 // util::SetNumThreads), including the serial threads == 1 fallback: either
 // the decomposition is a pure function of the operand shapes, or (GEMM and
-// the engine-path reductions) every decomposition produces the same
-// per-element fold order, so consulting the pool size for strategy
-// selection cannot change bits.
+// the segment reductions) every decomposition produces the same per-element
+// fold order, so consulting the pool size for strategy selection cannot
+// change bits.
 //
 // ISA dispatch: the inner loops run through the runtime-selected SIMD
-// backend (tensor/isa.h, ADAMGNN_ISA=scalar|sse2|avx2). Sparse/segment
-// kernels are bitwise-identical across all ISAs; the MatMul variants are
-// bitwise-identical between scalar and sse2, while avx2 uses explicit FMA
-// and differs within an ULP-bounded tolerance.
+// backend (tensor/isa.h, ADAMGNN_ISA=scalar|avx2). Sparse/segment kernels
+// are bitwise-identical across both ISAs; the MatMul variants use explicit
+// FMA at avx2 and differ from scalar within an ULP-bounded tolerance.
 
 #ifndef ADAMGNN_TENSOR_KERNELS_H_
 #define ADAMGNN_TENSOR_KERNELS_H_
@@ -77,7 +76,9 @@ Matrix Exp(const Matrix& a);
 Matrix Log(const Matrix& a);
 
 /// Sum over segments: out(seg[i], :) += a(i, :). out has num_segments rows.
-/// Every segment id must be < num_segments.
+/// Bitwise-identical to the plain serial ascending-i loop at every thread
+/// count and strategy (see IndexAddRows). Every segment id must be
+/// < num_segments.
 Matrix SegmentSum(const Matrix& a, const std::vector<size_t>& segments,
                   size_t num_segments);
 
@@ -87,10 +88,10 @@ Matrix SegmentMean(const Matrix& a, const std::vector<size_t>& segments,
 
 /// Indexed row accumulation: out(index[i], :) += a(i, :), out has num_rows
 /// rows. Bitwise-identical to the plain serial ascending-i loop at every
-/// thread count and strategy; under the gather engine large inputs run
-/// segment-grouped and row-parallel instead (the backward of a row gather,
-/// the forward of a row scatter), picked adaptively per call (see
-/// tensor/tuning.h). Every index must be < num_rows.
+/// thread count and strategy; large inputs run segment-grouped and
+/// row-parallel instead (the backward of a row gather, the forward of a row
+/// scatter), picked adaptively per call (see tensor/tuning.h). Every index
+/// must be < num_rows.
 Matrix IndexAddRows(const Matrix& a, const std::vector<size_t>& index,
                     size_t num_rows);
 

@@ -4,10 +4,10 @@
 // -ffp-contract=off` (see src/CMakeLists.txt). `-ffp-contract=off` matters:
 // the shared body fragments and the axpy/vadd lanes below are written as
 // explicit multiply-then-add, and letting the compiler contract them into
-// FMA would silently change bits relative to the scalar/sse2 variants. The
-// ONLY fused operations are the explicit _mm256_fmadd_pd calls in the GEMM
+// FMA would silently change bits relative to the scalar variant. The ONLY
+// fused operations are the explicit _mm256_fmadd_pd calls in the GEMM
 // microkernel, which is why dense GEMM is the one kernel where avx2 output
-// differs (within an ULP-bounded tolerance) from the other ISAs.
+// differs (within an ULP-bounded tolerance) from scalar.
 //
 // On a toolchain without AVX2 support the portable fallbacks compile
 // instead; the runtime dispatcher never selects this variant there.

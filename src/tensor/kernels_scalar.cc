@@ -1,7 +1,7 @@
 // Scalar (portable C++) kernel variant. See simd_ops.h for the contract.
 // Compiled with the project's default flags — no vector intrinsics — so it
-// runs on any CPU and serves as the bit reference: sse2 matches it exactly
-// everywhere, avx2 matches it exactly outside the FMA GEMM microkernel.
+// runs on any CPU and serves as the bit reference: avx2 matches it exactly
+// outside the FMA GEMM microkernel.
 
 #include "tensor/simd_ops.h"
 #include "tensor/tuning.h"

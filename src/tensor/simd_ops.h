@@ -5,16 +5,16 @@
 
 #include "tensor/isa.h"
 
-// The per-ISA kernel vtable. Each ISA variant (scalar / SSE2 / AVX2+FMA)
-// lives in its own translation unit (kernels_scalar.cc / kernels_sse2.cc /
-// kernels_avx2.cc) compiled with per-TU flags; every variant's symbols sit
+// The per-ISA kernel vtable. Each ISA variant (scalar / AVX2+FMA) lives in
+// its own translation unit (kernels_scalar.cc / kernels_avx2.cc) compiled
+// with per-TU flags; every variant's symbols sit
 // in an anonymous namespace so nothing compiled with, say, -mavx2 can ever
 // be ODR-merged into a path reachable on a non-AVX2 host. The only exported
 // surface per TU is its `const SimdOps*` getter below.
 //
 // Bit contract (see isa.h): axpy / axpy_store / vadd / gather_rows are
 // element-wise lane operations with NO fused multiply-add at any ISA, so
-// they produce identical bits across scalar/sse2/avx2 AND identical bits to
+// they produce identical bits across scalar/avx2 AND identical bits to
 // a plain serial C++ loop. gemm_rows uses explicit FMA on avx2 only.
 
 namespace adamgnn::tensor {
@@ -77,12 +77,11 @@ struct SimdOps {
 };
 
 namespace simd {
-// One exported getter per ISA translation unit. The sse2/avx2 getters
-// always exist; on a toolchain without the matching intrinsics they point
-// at portable fallbacks with the same fold order (runtime dispatch never
-// selects them there because BestSupportedIsa() probes the CPU).
+// One exported getter per ISA translation unit. The avx2 getter always
+// exists; on a toolchain without the matching intrinsics it points at
+// portable fallbacks with the same fold order (runtime dispatch never
+// selects it there because BestSupportedIsa() probes the CPU).
 const SimdOps* ScalarOps();
-const SimdOps* Sse2Ops();
 const SimdOps* Avx2Ops();
 }  // namespace simd
 

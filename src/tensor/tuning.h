@@ -4,28 +4,16 @@
 #include <algorithm>
 #include <cstddef>
 
-// Shared kernel tuning constants and the adaptive strategy selector.
+// Shared kernel tuning constants and the adaptive strategy selector, the
+// single source of truth for tensor/, graph/, and autograd/.
 //
-// Historically `kMaxGatherChunks` / `kMaxScatterChunks` and the grain
-// formulas were hand-synced copies in graph/sparse_matrix.cc and
-// autograd/sparse_ops.cc; this header is now the single source of truth,
-// consumed by tensor/, graph/, and autograd/.
-//
-// Two families live here:
-//
-//   1. LEGACY grains (Legacy*Grain): pure functions of the operand shapes
-//      ONLY. They drive the kLegacyScatter engine's chunk-partial
-//      decomposition, where the decomposition IS the summation order — so
-//      they must never consult the pool size.
-//
-//   2. ADAPTIVE selectors (Choose*, *Grain with an `ep` parameter): pick
-//      serial-naive vs chunked-parallel vs gathered execution from the
-//      problem shape AND `util::EffectiveParallelism()`. This is safe for
-//      the kCachedGather engine because all of its execution strategies
-//      produce bitwise-identical results (every output element is a plain
-//      ascending-source left fold regardless of decomposition; see
-//      DESIGN.md "Kernel dispatch & determinism"), so consulting the pool
-//      size changes speed, never bits.
+// The selectors (Choose*, *Grain with an `ep` parameter) pick serial-naive
+// vs chunked-parallel vs gathered execution from the problem shape AND
+// `util::EffectiveParallelism()`. Consulting the pool size is safe because
+// every execution strategy produces bitwise-identical results (each output
+// element is a plain ascending-source left fold regardless of
+// decomposition; see DESIGN.md "Kernel dispatch & determinism"), so it
+// changes speed, never bits.
 
 namespace adamgnn::tensor::tuning {
 
@@ -38,10 +26,6 @@ inline constexpr size_t kMinParallelWork = size_t{1} << 20;
 // Elementwise kernels use a smaller gate: they are pure streaming loops.
 inline constexpr size_t kMinParallelElems = size_t{1} << 15;
 
-// Scatter kernels merge per-chunk partial accumulators; capping the chunk
-// count bounds partial-matrix memory (legacy engine only).
-inline constexpr size_t kMaxScatterChunks = 8;
-
 // Gather outputs are invariant to the row decomposition, so this cap only
 // bounds dispatch overhead on large matrices.
 inline constexpr size_t kMaxGatherChunks = 64;
@@ -49,7 +33,6 @@ inline constexpr size_t kMaxGatherChunks = 64;
 // Row/entry grain floors keep chunks coarse enough to amortize dispatch.
 inline constexpr size_t kRowGrainFloor = 256;
 inline constexpr size_t kEntryGrain = size_t{1} << 12;
-inline constexpr size_t kMinScatterRows = size_t{1} << 12;
 
 // ---- Dense GEMM ------------------------------------------------------------
 
@@ -96,7 +79,7 @@ inline ReduceStrategy ChooseSegmentReduce(size_t rows, size_t cols,
   return ReduceStrategy::kParallelGather;
 }
 
-// SpMM^T (gather engine). Serial scatter additionally skips building the
+// SpMM^T. Serial scatter additionally skips building the
 // transposed view and entry groups — the right call for small one-shot
 // multiplies; large single-threaded multiplies still prefer the (cached)
 // gather view for its write locality.
@@ -126,30 +109,7 @@ inline size_t GatherEntryGrain(size_t entries, size_t work, int ep) {
 // Segment-gather grain (over output segments).
 inline size_t SegmentGrain(size_t num_segments) {
   return std::max<size_t>(
-      kRowGrainFloor,
-      (num_segments + kMaxScatterChunks * 8 - 1) / (kMaxScatterChunks * 8));
-}
-
-// ---- Legacy grains (shape-only; the decomposition IS the fold order) -------
-
-// graph/sparse_matrix.cc SpMM^T scatter (source rows).
-inline size_t LegacySpmmScatterGrain(size_t rows, size_t work) {
-  if (work < kMinParallelWork) return rows == 0 ? 1 : rows;
-  return std::max<size_t>(kRowGrainFloor,
-                          (rows + kMaxScatterChunks - 1) / kMaxScatterChunks);
-}
-
-// autograd/sparse_ops.cc ScatterRows (entries).
-inline size_t LegacyEntryScatterGrain(size_t entries, size_t work) {
-  if (work < kMinParallelWork) return entries == 0 ? 1 : entries;
-  return std::max<size_t>(
-      kEntryGrain, (entries + kMaxScatterChunks - 1) / kMaxScatterChunks);
-}
-
-// tensor/kernels.cc SegmentSum scatter (input rows).
-inline size_t LegacySegmentScatterGrain(size_t rows) {
-  const size_t by_cap = (rows + kMaxScatterChunks - 1) / kMaxScatterChunks;
-  return std::max(kMinScatterRows, by_cap);
+      kRowGrainFloor, (num_segments + kMaxGatherChunks - 1) / kMaxGatherChunks);
 }
 
 }  // namespace adamgnn::tensor::tuning

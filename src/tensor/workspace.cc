@@ -1,7 +1,6 @@
 #include "tensor/workspace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "util/cancel.h"
@@ -11,13 +10,7 @@ namespace adamgnn::tensor {
 
 namespace {
 
-std::atomic<bool> g_workspace_enabled{true};
 thread_local Workspace* t_current = nullptr;
-
-Workspace* CurrentIfEnabled() {
-  if (!g_workspace_enabled.load(std::memory_order_relaxed)) return nullptr;
-  return t_current;
-}
 
 /// Smallest power of two >= n (n >= 1): the class an acquire draws from and
 /// the capacity a fresh miss is padded to.
@@ -53,14 +46,6 @@ void Workspace::Clear() {
 }
 
 Workspace* Workspace::Current() { return t_current; }
-
-void Workspace::SetEnabled(bool enabled) {
-  g_workspace_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool Workspace::Enabled() {
-  return g_workspace_enabled.load(std::memory_order_relaxed);
-}
 
 Workspace::Bind::Bind(Workspace* ws) : prev_(t_current) { t_current = ws; }
 
@@ -122,7 +107,7 @@ bool Workspace::EvictOldest() noexcept {
 
 std::vector<double> Workspace::AcquireFilled(size_t n, double fill) {
   util::AllocCheckpoint();
-  Workspace* ws = CurrentIfEnabled();
+  Workspace* ws = t_current;
   if (ws == nullptr || n == 0) return std::vector<double>(n, fill);
   std::vector<double> buf = ws->TakeBuffer(n);
   if (buf.empty()) {
@@ -135,7 +120,7 @@ std::vector<double> Workspace::AcquireFilled(size_t n, double fill) {
 
 std::vector<double> Workspace::AcquireUninit(size_t n) {
   util::AllocCheckpoint();
-  Workspace* ws = CurrentIfEnabled();
+  Workspace* ws = t_current;
   if (ws == nullptr || n == 0) return std::vector<double>(n);
   std::vector<double> buf = ws->TakeBuffer(n);
   if (!buf.empty()) return buf;  // recycled: contents left as-is, no fill pass
@@ -146,7 +131,7 @@ std::vector<double> Workspace::AcquireUninit(size_t n) {
 
 std::vector<double> Workspace::AcquireCopy(const std::vector<double>& src) {
   util::AllocCheckpoint();
-  Workspace* ws = CurrentIfEnabled();
+  Workspace* ws = t_current;
   if (ws == nullptr || src.empty()) return src;
   std::vector<double> buf = ws->TakeBuffer(src.size());
   if (buf.empty()) {
@@ -159,7 +144,7 @@ std::vector<double> Workspace::AcquireCopy(const std::vector<double>& src) {
 
 void Workspace::Release(std::vector<double>&& buf) noexcept {
   if (buf.capacity() == 0) return;
-  Workspace* ws = CurrentIfEnabled();
+  Workspace* ws = t_current;
   if (ws == nullptr) return;  // buf frees normally as it goes out of scope
   ws->Park(std::move(buf));
 }

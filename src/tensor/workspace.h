@@ -24,7 +24,7 @@
 //
 // Reuse changes where bytes live, never what they hold: acquired buffers are
 // resized and refilled (or copied over) before a Matrix exposes them, so
-// results are bitwise-identical with the arena on or off.
+// results are bitwise-identical on a bound and an unbound thread.
 
 #ifndef ADAMGNN_TENSOR_WORKSPACE_H_
 #define ADAMGNN_TENSOR_WORKSPACE_H_
@@ -66,12 +66,6 @@ class Workspace {
   /// The workspace bound to the calling thread, or nullptr.
   static Workspace* Current();
 
-  /// Process-wide kill switch (default enabled). When disabled, Bind is
-  /// inert and Matrix storage behaves exactly as before the arena existed —
-  /// the A/B lever for benchmarks.
-  static void SetEnabled(bool enabled);
-  static bool Enabled();
-
   /// Binds `ws` to the calling thread for the scope's lifetime; nestable
   /// (restores the previous binding on destruction).
   class Bind {
@@ -85,7 +79,7 @@ class Workspace {
     Workspace* prev_;
   };
 
-  // Storage hooks for tensor::Matrix. Unbound/disabled threads get plain
+  // Storage hooks for tensor::Matrix. Unbound threads get plain
   // vectors; bound threads reuse parked buffers whose size class covers the
   // requested element count.
   static std::vector<double> AcquireFilled(size_t n, double fill);

@@ -26,8 +26,8 @@ struct NodeTaskResult {
   /// Mean wall time of one training epoch (seconds) — Table 4's metric.
   double avg_epoch_seconds = 0;
   /// Per-epoch training loss and wall seconds for the epochs this run
-  /// executed, in order. bench_epoch compares `epoch_losses` across sparse
-  /// engines bitwise to prove an optimization changed speed, not math.
+  /// executed, in order. bench_epoch compares `epoch_losses` bitwise across
+  /// thread counts and obs on/off to prove those change speed, not math.
   std::vector<double> epoch_losses;
   std::vector<double> epoch_seconds;
   /// Absolute epoch the run resumed from, or -1 on a cold start.

@@ -35,7 +35,7 @@ void SetNumThreads(int n);
 /// kernel-strategy selectors (tensor/tuning.h) consult this to skip pool
 /// dispatch when extra workers cannot help (e.g. a 4-thread pool pinned to
 /// one core). Safe for deterministic kernels ONLY because every strategy of
-/// the gather engine produces identical bits — the choice changes speed,
+/// the sparse engine produces identical bits — the choice changes speed,
 /// never results.
 int EffectiveParallelism();
 

@@ -18,10 +18,15 @@ using graph::SparseMatrix;
 using graph::Triplet;
 using tensor::Matrix;
 
-Variable WeightedSum(const Variable& x, uint64_t seed) {
+Matrix WeightsOf(size_t rows, size_t cols, uint64_t seed) {
   util::Rng rng(seed);
-  Matrix w = Matrix::Gaussian(x.rows(), x.cols(), 1.0, &rng);
-  return Sum(CwiseMul(x, Variable::Constant(w)));
+  return Matrix::Gaussian(rows, cols, 1.0, &rng);
+}
+
+/// Sum of x ∘ W: its gradient w.r.t. x is exactly W = WeightsOf(x, seed).
+Variable WeightedSum(const Variable& x, uint64_t seed) {
+  return Sum(CwiseMul(
+      x, Variable::Constant(WeightsOf(x.rows(), x.cols(), seed))));
 }
 
 std::shared_ptr<const SparseMatrix> SmallSparse() {
@@ -243,58 +248,92 @@ TEST(SpMMValuesThreadingTest, ForwardAndBackwardBitwiseAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine A/B: the cached-gather engine must agree with the legacy scatter
-// engine through every autograd sparse op at a shape above the
-// parallel-work gate. The legacy scatter merges per-chunk partial sums in a
-// different order than the engine's plain ascending fold, so agreement here
-// is to tolerance; each engine individually is bitwise thread-invariant
-// (covered by the threading tests above, which run the default engine, and
-// by the engine tests in kernels_test / sparse_matrix_test).
+// Reference check: at every thread count the sparse ops, forward and
+// backward, equal plain serial loops bitwise. Each kernel folds every output
+// row's contributions in ascending source order from +0.0, so SpMM and SpMMᵀ
+// must reproduce an ascending loop over the dense matrix (skipping its
+// structural zeros, which add nothing), and SpMMValues an ascending loop
+// over the pattern's entries. The shape is above the parallel-work gate, so
+// threads > 1 take the row-parallel gather strategies.
 // ---------------------------------------------------------------------------
 
-TEST(SparseEngineABTest, GatherMatchesLegacyScatterWithinTolerance) {
+// y = a * x over the dense a, ascending in the inner index.
+Matrix DenseTimes(const Matrix& a, const Matrix& x) {
+  Matrix y(a.rows(), x.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t k = 0; k < a.cols(); ++k) {
+      if (a(r, k) == 0.0) continue;
+      for (size_t j = 0; j < x.cols(); ++j) y(r, j) += a(r, k) * x(k, j);
+    }
+  }
+  return y;
+}
+
+TEST(SparseOpsReferenceTest, AllThreadCountsMatchSerialLoopsBitwise) {
   auto s = LargeSparse(2000, 1500, 30000, 50);
   auto p = LargePattern(2000, 1500, 30000, 51);
   util::Rng rng(52);
   const Matrix xs0 = Matrix::Gaussian(1500, 64, 1.0, &rng);
   const Matrix xt0 = Matrix::Gaussian(2000, 64, 1.0, &rng);
   const Matrix v0 = Matrix::Uniform(p->nnz(), 1, 0.2, 1.0, &rng);
-  auto run = [&] {
-    std::vector<Matrix> out;
+
+  // The upstream gradient of WeightedSum(y, seed) is WeightsOf(y, seed).
+  const Matrix dense = s->ToDense();
+  const Matrix dense_t = dense.Transposed();
+  const Matrix w_spmm = WeightsOf(2000, 64, 53);
+  const Matrix w_spmmt = WeightsOf(1500, 64, 54);
+  const Matrix w_values = WeightsOf(2000, 64, 55);
+  Matrix values_y(2000, 64), values_dv(p->nnz(), 1), values_dx(1500, 64);
+  for (size_t k = 0; k < p->nnz(); ++k) {
+    const size_t r = p->row_indices[k], c = p->col_indices[k];
+    double dot = 0.0;
+    for (size_t j = 0; j < 64; ++j) {
+      values_y(r, j) += v0(k, 0) * xs0(c, j);
+      values_dx(c, j) += v0(k, 0) * w_values(r, j);
+      dot += w_values(r, j) * xs0(c, j);
+    }
+    values_dv(k, 0) = dot;
+  }
+  const std::vector<Matrix> reference = {
+      DenseTimes(dense, xs0),   DenseTimes(dense_t, w_spmm),
+      DenseTimes(dense_t, xt0), DenseTimes(dense, w_spmmt),
+      values_y,                 values_dv,
+      values_dx};
+
+  for (int t : {1, 2, 7}) {
+    util::SetNumThreads(t);
+    std::vector<Matrix> got;
     {
       Variable x = Variable::Parameter(xs0);
       Variable y = SpMM(s, x);
       Backward(WeightedSum(y, 53));
-      out.push_back(y.value());
-      out.push_back(x.grad());
+      got.push_back(y.value());
+      got.push_back(x.grad());
     }
     {
       Variable x = Variable::Parameter(xt0);
       Variable y = SpMMTranspose(s, x);
       Backward(WeightedSum(y, 54));
-      out.push_back(y.value());
-      out.push_back(x.grad());
+      got.push_back(y.value());
+      got.push_back(x.grad());
     }
     {
       Variable v = Variable::Parameter(v0);
       Variable x = Variable::Parameter(xs0);
       Variable y = SpMMValues(p, v, x);
       Backward(WeightedSum(y, 55));
-      out.push_back(y.value());
-      out.push_back(v.grad());
-      out.push_back(x.grad());
+      got.push_back(y.value());
+      got.push_back(v.grad());
+      got.push_back(x.grad());
     }
-    return out;
-  };
-  graph::SetSparseEngine(graph::SparseEngine::kLegacyScatter);
-  const std::vector<Matrix> legacy = run();
-  graph::SetSparseEngine(graph::SparseEngine::kCachedGather);
-  const std::vector<Matrix> gather = run();
-  ASSERT_EQ(legacy.size(), gather.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_TRUE(tensor::AllClose(gather[i], legacy[i], 1e-9))
-        << "output " << i << " differs beyond tolerance";
+    ASSERT_EQ(got.size(), reference.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i] == reference[i])
+          << "output " << i << " differs from the serial loop at threads="
+          << t;
+    }
   }
+  util::SetNumThreads(0);
 }
 
 // ---------------------------------------------------------------------------

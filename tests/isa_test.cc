@@ -1,6 +1,6 @@
 // Runtime ISA dispatcher tests: parse/probe/force semantics, the cross-ISA
-// numeric contract (sparse kernels bitwise everywhere, GEMM bitwise
-// scalar≡sse2 and ULP-bounded on avx2), bitwise thread-invariance at every
+// numeric contract (sparse kernels bitwise everywhere, GEMM ULP-bounded on
+// avx2), bitwise thread-invariance at every
 // forced ISA, adaptive-selector pins, and a forced-ISA training smoke whose
 // loss trajectory is compared against the scalar baseline.
 
@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/adapters.h"
@@ -39,7 +41,7 @@ struct IsaGuard {
 
 std::vector<Isa> SupportedIsas() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
     if (IsaSupported(isa)) out.push_back(isa);
   }
   return out;
@@ -83,16 +85,58 @@ SparseMatrix RandomSparse(size_t rows, size_t cols, size_t nnz,
 // ---------------------------------------------------------------------------
 
 TEST(IsaDispatchTest, NamesRoundTripThroughParse) {
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
     Isa parsed;
     ASSERT_TRUE(ParseIsa(IsaName(isa), &parsed)) << IsaName(isa);
     EXPECT_EQ(parsed, isa);
   }
-  Isa untouched = Isa::kSse2;
+  Isa untouched = Isa::kAvx2;
+  EXPECT_FALSE(ParseIsa("sse2", &untouched));  // the retired 128-bit tier
   EXPECT_FALSE(ParseIsa("avx512", &untouched));
   EXPECT_FALSE(ParseIsa("", &untouched));
-  EXPECT_FALSE(ParseIsa("SSE2", &untouched));  // names are lowercase
-  EXPECT_EQ(untouched, Isa::kSse2);
+  EXPECT_FALSE(ParseIsa("AVX2", &untouched));  // names are lowercase
+  EXPECT_EQ(untouched, Isa::kAvx2);
+}
+
+/// Sets ADAMGNN_ISA for one scope and restores the previous value.
+class ScopedIsaEnv {
+ public:
+  explicit ScopedIsaEnv(const char* value) {
+    const char* prev = std::getenv("ADAMGNN_ISA");
+    had_prev_ = prev != nullptr;
+    if (had_prev_) prev_ = prev;
+    setenv("ADAMGNN_ISA", value, 1);
+  }
+  ~ScopedIsaEnv() {
+    if (had_prev_) {
+      setenv("ADAMGNN_ISA", prev_.c_str(), 1);
+    } else {
+      unsetenv("ADAMGNN_ISA");
+    }
+  }
+
+ private:
+  bool had_prev_ = false;
+  std::string prev_;
+};
+
+TEST(IsaDispatchTest, EnvNamingNoIsaWarnsAndFallsBackToBest) {
+  for (const char* value : {"sse2", "avx512"}) {
+    ScopedIsaEnv env(value);
+    ::testing::internal::CaptureStderr();
+    const Isa resolved = IsaFromEnv();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(resolved, BestSupportedIsa()) << value;
+    EXPECT_NE(err.find("warning: ADAMGNN_ISA=" + std::string(value)),
+              std::string::npos)
+        << err;
+  }
+  {
+    ScopedIsaEnv env("scalar");
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(IsaFromEnv(), Isa::kScalar);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  }
 }
 
 TEST(IsaDispatchTest, ScalarIsAlwaysSupportedAndForceable) {
@@ -105,9 +149,8 @@ TEST(IsaDispatchTest, ScalarIsAlwaysSupportedAndForceable) {
 TEST(IsaDispatchTest, SetIsaRejectsUnsupportedWithoutSideEffects) {
   IsaGuard guard;
   ASSERT_TRUE(SetIsa(Isa::kScalar));
-  for (Isa isa : {Isa::kSse2, Isa::kAvx2}) {
-    if (IsaSupported(isa)) continue;
-    EXPECT_FALSE(SetIsa(isa));
+  if (!IsaSupported(Isa::kAvx2)) {
+    EXPECT_FALSE(SetIsa(Isa::kAvx2));
     EXPECT_EQ(ActiveIsa(), Isa::kScalar) << "failed SetIsa changed the ISA";
   }
   // Every ISA up to the best one must be individually forceable.
@@ -119,9 +162,6 @@ TEST(IsaDispatchTest, SetIsaRejectsUnsupportedWithoutSideEffects) {
 
 TEST(IsaDispatchTest, CpuFeatureStringMatchesProbe) {
   const std::string features = CpuFeatureString();
-  if (IsaSupported(Isa::kSse2)) {
-    EXPECT_NE(features.find("sse2"), std::string::npos) << features;
-  }
   if (IsaSupported(Isa::kAvx2)) {
     EXPECT_NE(features.find("avx2"), std::string::npos) << features;
     EXPECT_NE(features.find("fma"), std::string::npos) << features;
@@ -131,27 +171,6 @@ TEST(IsaDispatchTest, CpuFeatureStringMatchesProbe) {
 // ---------------------------------------------------------------------------
 // Cross-ISA numeric contract.
 // ---------------------------------------------------------------------------
-
-TEST(IsaNumericsTest, GemmScalarAndSse2AgreeBitwise) {
-  if (!IsaSupported(Isa::kSse2)) GTEST_SKIP() << "no sse2 on this CPU";
-  IsaGuard guard;
-  util::Rng rng(60);
-  // Odd sizes exercise the microkernel row/column tails; k > kGemmKc
-  // exercises the K-blocked packing loop.
-  const Matrix a = Matrix::Gaussian(67, 300, 1.0, &rng);
-  const Matrix b = Matrix::Gaussian(300, 45, 1.0, &rng);
-  ASSERT_TRUE(SetIsa(Isa::kScalar));
-  const Matrix ab = MatMul(a, b);
-  const Matrix atb = MatMulTransA(a, Matrix::Gaussian(67, 21, 1.0, &rng));
-  const Matrix abt = MatMulTransB(a, Matrix::Gaussian(45, 300, 1.0, &rng));
-  ASSERT_TRUE(SetIsa(Isa::kSse2));
-  util::Rng rng2(60);
-  const Matrix a2 = Matrix::Gaussian(67, 300, 1.0, &rng2);
-  const Matrix b2 = Matrix::Gaussian(300, 45, 1.0, &rng2);
-  EXPECT_TRUE(MatMul(a2, b2) == ab);
-  EXPECT_TRUE(MatMulTransA(a2, Matrix::Gaussian(67, 21, 1.0, &rng2)) == atb);
-  EXPECT_TRUE(MatMulTransB(a2, Matrix::Gaussian(45, 300, 1.0, &rng2)) == abt);
-}
 
 TEST(IsaNumericsTest, GemmAvx2WithinUlpBoundOfScalar) {
   if (!IsaSupported(Isa::kAvx2)) GTEST_SKIP() << "no avx2+fma on this CPU";
@@ -311,18 +330,11 @@ TEST(IsaTrainingTest, LossTrajectoryMatchesScalarBaseline) {
     const std::vector<double> losses = TrainLossesAt(isa);
     ASSERT_EQ(losses.size(), scalar_losses.size()) << IsaName(isa);
     for (size_t e = 0; e < losses.size(); ++e) {
-      if (isa == Isa::kSse2) {
-        // Every kernel is bitwise-identical between scalar and sse2, so the
-        // whole trajectory must be too.
-        EXPECT_EQ(losses[e], scalar_losses[e])
-            << "epoch " << e << " @ " << IsaName(isa);
-      } else {
-        // avx2 GEMM differs by ULPs (explicit FMA); a short run stays well
-        // within this relative envelope.
-        EXPECT_NEAR(losses[e], scalar_losses[e],
-                    1e-6 * std::abs(scalar_losses[e]))
-            << "epoch " << e << " @ " << IsaName(isa);
-      }
+      // avx2 GEMM differs by ULPs (explicit FMA); a short run stays well
+      // within this relative envelope.
+      EXPECT_NEAR(losses[e], scalar_losses[e],
+                  1e-6 * std::abs(scalar_losses[e]))
+          << "epoch " << e << " @ " << IsaName(isa);
     }
   }
 }

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
-#include "tensor/engine.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -260,75 +259,47 @@ TEST(KernelsThreadingTest, SegmentKernelsBitwiseAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine A/B: every strategy of the engine's segment kernels must be bitwise
-// thread-invariant, and must agree with the legacy scatter form — bitwise
-// where the legacy path runs a single chunk (a plain ascending fold), to
-// tolerance on shapes large enough for its multi-chunk partial merge.
+// Serial reference: every strategy of the segment kernels folds each output
+// row in ascending source-row order, so at every thread count the result
+// must equal a plain ascending loop bitwise — on shapes large enough for
+// the row-parallel gather strategy too.
 // ---------------------------------------------------------------------------
 
-class EngineFlip {
- public:
-  ~EngineFlip() { SetSparseEngine(SparseEngine::kCachedGather); }
-
-  template <typename Fn>
-  static Matrix Under(SparseEngine engine, const Fn& fn) {
-    SetSparseEngine(engine);
-    Matrix out = fn();
-    SetSparseEngine(SparseEngine::kCachedGather);
-    return out;
+Matrix SerialIndexAdd(const Matrix& a, const std::vector<size_t>& index,
+                      size_t num_rows) {
+  Matrix out(num_rows, a.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.cols(); ++j) out(index[i], j) += a(i, j);
   }
-};
+  return out;
+}
 
-TEST(KernelsEngineTest, SegmentSumEnginesThreadInvariantAndAgree) {
-  EngineFlip guard;
+TEST(KernelsEngineTest, SegmentSumThreadInvariantAndMatchesSerialBitwise) {
   util::Rng rng(28);
-  Matrix a = Matrix::Gaussian(20000, 24, 1.0, &rng);  // several legacy chunks
+  Matrix a = Matrix::Gaussian(20000, 24, 1.0, &rng);  // above the gather gate
   const size_t num_segments = 700;
   std::vector<size_t> seg(a.rows());
   for (auto& s : seg) s = rng.NextUint64(num_segments);
-  util::SetNumThreads(1);
-  const Matrix scatter_ref = EngineFlip::Under(
-      SparseEngine::kLegacyScatter,
-      [&] { return SegmentSum(a, seg, num_segments); });
-  const Matrix engine_ref = EngineFlip::Under(
-      SparseEngine::kCachedGather,
-      [&] { return SegmentSum(a, seg, num_segments); });
-  for (int t : {2, 7}) {
+  const Matrix serial = SerialIndexAdd(a, seg, num_segments);
+  for (int t : {1, 2, 7}) {
     util::SetNumThreads(t);
-    Matrix scatter = EngineFlip::Under(
-        SparseEngine::kLegacyScatter,
-        [&] { return SegmentSum(a, seg, num_segments); });
-    Matrix engine = EngineFlip::Under(
-        SparseEngine::kCachedGather,
-        [&] { return SegmentSum(a, seg, num_segments); });
-    EXPECT_TRUE(scatter == scatter_ref)
-        << "legacy scatter not thread-invariant at threads=" << t;
-    EXPECT_TRUE(engine == engine_ref)
-        << "engine not thread-invariant at threads=" << t;
+    EXPECT_TRUE(SegmentSum(a, seg, num_segments) == serial)
+        << "differs from the serial loop at threads=" << t;
   }
   util::SetNumThreads(0);
-  // The legacy multi-chunk merge folds partial sums in a different order
-  // than the engine's plain ascending fold, so cross-engine equality here is
-  // to tolerance (single-chunk shapes stay bitwise — see the tests above).
-  EXPECT_TRUE(AllClose(engine_ref, scatter_ref, 1e-9));
 }
 
 TEST(KernelsEngineTest, IndexAddRowsGatherMatchesSerialBitwise) {
-  EngineFlip guard;
   util::Rng rng(29);
-  Matrix a = Matrix::Gaussian(12000, 16, 1.0, &rng);  // above the gather gate
+  Matrix a = Matrix::Gaussian(20000, 16, 1.0, &rng);  // above the gather gate
   const size_t num_rows = 900;
   std::vector<size_t> idx(a.rows());
   for (auto& s : idx) s = rng.NextUint64(num_rows);
-  Matrix serial = EngineFlip::Under(
-      SparseEngine::kLegacyScatter,
-      [&] { return IndexAddRows(a, idx, num_rows); });
+  const Matrix serial = SerialIndexAdd(a, idx, num_rows);
   for (int t : {1, 2, 7}) {
     util::SetNumThreads(t);
-    Matrix gather = EngineFlip::Under(
-        SparseEngine::kCachedGather,
-        [&] { return IndexAddRows(a, idx, num_rows); });
-    EXPECT_TRUE(gather == serial) << "engines differ at threads=" << t;
+    EXPECT_TRUE(IndexAddRows(a, idx, num_rows) == serial)
+        << "differs from the serial loop at threads=" << t;
   }
   util::SetNumThreads(0);
 }

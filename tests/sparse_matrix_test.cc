@@ -179,20 +179,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SparseRandomSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // ---------------------------------------------------------------------------
-// Sparse engine: the cached transposed view, the adaptive SpMMᵀ strategies,
-// their bitwise thread-invariance, and their agreement with the legacy
-// scatter kernel (bitwise at single-chunk shapes, tolerance beyond).
+// SpMMᵀ: the cached transposed view, the adaptive strategies, their bitwise
+// thread-invariance, and their bitwise agreement with a plain serial loop
+// that visits the source rows in ascending order.
 // ---------------------------------------------------------------------------
 
-/// Restores the process default (gather) no matter how a test exits.
-struct EngineGuard {
-  ~EngineGuard() { SetSparseEngine(SparseEngine::kCachedGather); }
-};
-
-Matrix WithEngine(SparseEngine e, const SparseMatrix& m, const Matrix& x) {
-  EngineGuard guard;
-  SetSparseEngine(e);
-  return m.TransposeMultiplyDense(x);
+/// xᵀ-side reference: out(c, :) += m(r, c) * x(r, :) over r ascending.
+Matrix SerialTransposeMultiply(const SparseMatrix& m, const Matrix& x) {
+  Matrix out(m.cols(), x.cols());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t k = m.row_offsets()[r]; k < m.row_offsets()[r + 1]; ++k) {
+      const size_t c = m.col_indices()[k];
+      for (size_t j = 0; j < x.cols(); ++j) {
+        out(c, j) += m.values()[k] * x(r, j);
+      }
+    }
+  }
+  return out;
 }
 
 SparseMatrix RandomSparse(size_t rows, size_t cols, size_t nnz,
@@ -207,7 +210,7 @@ SparseMatrix RandomSparse(size_t rows, size_t cols, size_t nnz,
   return SparseMatrix::FromTriplets(rows, cols, std::move(t));
 }
 
-TEST(SparseEngineTest, TransposeViewIsLazyAndPrewarmable) {
+TEST(SpmmTransposeTest, TransposeViewIsLazyAndPrewarmable) {
   SparseMatrix m = Small();
   EXPECT_FALSE(m.transpose_view_built());
   m.PrewarmTranspose();
@@ -219,7 +222,7 @@ TEST(SparseEngineTest, TransposeViewIsLazyAndPrewarmable) {
                        tensor::MatMul(m.ToDense().Transposed(), x), 1e-12));
 }
 
-TEST(SparseEngineTest, MutableValuesInvalidatesCachedView) {
+TEST(SpmmTransposeTest, MutableValuesInvalidatesCachedView) {
   // The staleness trap: mutate values after the view exists, then multiply.
   // A stale view would reproduce the pre-mutation product.
   SparseMatrix m = Small();
@@ -238,7 +241,7 @@ TEST(SparseEngineTest, MutableValuesInvalidatesCachedView) {
   EXPECT_FALSE(after == before);
 }
 
-TEST(SparseEngineTest, CopiesShareTheViewUntilOneMutates) {
+TEST(SpmmTransposeTest, CopiesShareTheViewUntilOneMutates) {
   SparseMatrix a = Small();
   a.PrewarmTranspose();
   SparseMatrix b = a;  // shares the cache box — and the built view
@@ -257,7 +260,7 @@ TEST(SparseEngineTest, CopiesShareTheViewUntilOneMutates) {
                        tensor::MatMul(a.ToDense().Transposed(), x), 1e-12));
 }
 
-TEST(SparseEngineTest, RowNormalizedDoesNotInheritStaleView) {
+TEST(SpmmTransposeTest, RowNormalizedDoesNotInheritStaleView) {
   SparseMatrix m = SparseMatrix::FromTriplets(
       2, 3, {{0, 0, 1.0}, {0, 2, 3.0}, {1, 1, 5.0}});
   m.PrewarmTranspose();
@@ -269,7 +272,7 @@ TEST(SparseEngineTest, RowNormalizedDoesNotInheritStaleView) {
                        tensor::MatMul(r.ToDense().Transposed(), x), 1e-12));
 }
 
-TEST(SparseEngineTest, GatherMatchesScatterBitwiseOnEdgeShapes) {
+TEST(SpmmTransposeTest, GatherMatchesScatterBitwiseOnEdgeShapes) {
   util::Rng rng(24);
   std::vector<SparseMatrix> cases;
   // Rows with no entries and columns no entry lands in (all-zero view rows).
@@ -286,43 +289,42 @@ TEST(SparseEngineTest, GatherMatchesScatterBitwiseOnEdgeShapes) {
   // Fully empty.
   cases.push_back(SparseMatrix::FromTriplets(4, 3, {}));
   for (const SparseMatrix& m : cases) {
-    Matrix x = Matrix::Gaussian(m.rows(), 3, 1.0, &rng);
-    Matrix gather = WithEngine(SparseEngine::kCachedGather, m, x);
-    Matrix scatter = WithEngine(SparseEngine::kLegacyScatter, m, x);
-    EXPECT_TRUE(gather == scatter) << m.DebugString();
-    EXPECT_TRUE(AllClose(gather, tensor::MatMul(m.ToDense().Transposed(), x),
+    // Wide enough that nnz * cols clears the parallel-work gate: on one
+    // thread that selects the gather over the cached view; on four threads
+    // (a multi-core host) these few output rows select the serial scatter.
+    const size_t d = m.nnz() == 0 ? 3 : (size_t{1} << 20) / m.nnz() + 1;
+    Matrix x = Matrix::Gaussian(m.rows(), d, 1.0, &rng);
+    const Matrix serial = SerialTransposeMultiply(m, x);
+    for (int t : {1, 4}) {
+      util::SetNumThreads(t);
+      EXPECT_TRUE(m.TransposeMultiplyDense(x) == serial)
+          << "threads=" << t << "\n" << m.DebugString();
+    }
+    util::SetNumThreads(0);
+    EXPECT_TRUE(AllClose(serial, tensor::MatMul(m.ToDense().Transposed(), x),
                          1e-12))
         << m.DebugString();
   }
 }
 
-TEST(SparseEngineTest, EnginesAreThreadInvariantAndAgree) {
-  // Above the parallel-work gate (nnz * cols = 40000 * 64 > 2^20) with
-  // rows >> scatter grain, so the legacy scatter runs its multi-chunk
-  // partial merge. Each engine must be bitwise thread-invariant; the legacy
-  // merge order differs from the engine's plain ascending fold at
-  // multi-chunk shapes like this one, so the engines agree to tolerance
-  // (bitwise at single-chunk shapes — see the edge-shape test above).
+TEST(SpmmTransposeTest, ThreadInvariantAndMatchesSerialBitwise) {
+  // Above the parallel-work gate (nnz * cols = 40000 * 64 > 2^20), so
+  // threads > 1 take the row-parallel gather over the cached view.
   SparseMatrix m = RandomSparse(3000, 2500, 40000, 25);
   util::Rng rng(26);
   const Matrix x = Matrix::Gaussian(3000, 64, 1.0, &rng);
-  util::SetNumThreads(1);
-  const Matrix engine_ref = WithEngine(SparseEngine::kCachedGather, m, x);
-  const Matrix legacy_ref = WithEngine(SparseEngine::kLegacyScatter, m, x);
-  for (int t : {2, 4, 7}) {
+  const Matrix serial = SerialTransposeMultiply(m, x);
+  for (int t : {1, 2, 4, 7}) {
     util::SetNumThreads(t);
-    EXPECT_TRUE(WithEngine(SparseEngine::kCachedGather, m, x) == engine_ref)
-        << "gather engine not thread-invariant at threads=" << t;
-    EXPECT_TRUE(WithEngine(SparseEngine::kLegacyScatter, m, x) == legacy_ref)
-        << "legacy scatter not thread-invariant at threads=" << t;
+    EXPECT_TRUE(m.TransposeMultiplyDense(x) == serial)
+        << "differs from the serial loop at threads=" << t;
   }
   util::SetNumThreads(0);
-  EXPECT_TRUE(AllClose(engine_ref, legacy_ref, 1e-9));
-  EXPECT_TRUE(AllClose(engine_ref,
-                       tensor::MatMul(m.ToDense().Transposed(), x), 1e-9));
+  EXPECT_TRUE(AllClose(serial, tensor::MatMul(m.ToDense().Transposed(), x),
+                       1e-9));
 }
 
-TEST(SparseEngineTest, ConcurrentFirstUseBuildsTheViewOnce) {
+TEST(SpmmTransposeTest, ConcurrentFirstUseBuildsTheViewOnce) {
   // Many threads race the lazy once-init; TSan (tools/check.sh) verifies the
   // locking, this verifies they all see one coherent view.
   SparseMatrix m = RandomSparse(500, 400, 3000, 27);

@@ -12,11 +12,6 @@
 namespace adamgnn::tensor {
 namespace {
 
-/// Restores the process-wide arena switch no matter how a test exits.
-struct EnabledGuard {
-  ~EnabledGuard() { Workspace::SetEnabled(true); }
-};
-
 TEST(WorkspaceTest, UnboundThreadHasNoWorkspace) {
   EXPECT_EQ(Workspace::Current(), nullptr);
   // Matrices still work off plain allocation; destruction releases nowhere.
@@ -167,18 +162,6 @@ TEST(WorkspaceTest, CopyAssignmentOfSameSizeReusesOwnBuffer) {
   EXPECT_TRUE(a == b);
 }
 
-TEST(WorkspaceTest, DisabledArenaRetainsNothing) {
-  EnabledGuard guard;
-  Workspace ws;
-  Workspace::Bind bind(&ws);
-  Workspace::SetEnabled(false);
-  { Matrix m(5, 5, 1.0); }
-  EXPECT_EQ(ws.stats().retained_buffers, 0u);
-  Workspace::SetEnabled(true);
-  { Matrix m(5, 5, 1.0); }
-  EXPECT_EQ(ws.stats().retained_buffers, 1u);
-}
-
 TEST(WorkspaceTest, ClearDropsParkedBuffers) {
   Workspace ws;
   Workspace::Bind bind(&ws);
@@ -239,7 +222,8 @@ TEST(WorkspaceTest, BuffersMigrateAcrossThreadsSafely) {
 
 TEST(WorkspaceTest, ArenaNeverChangesNumericResults) {
   // The same computation, with enough temporaries to cycle the freelist,
-  // must be bitwise-identical with the arena off, on, and on-with-reuse.
+  // must be bitwise-identical on an unbound thread (plain allocation), a
+  // bound one, and a bound one reusing parked buffers.
   auto compute = [] {
     util::Rng rng(99);
     Matrix a = Matrix::Gaussian(40, 30, 1.0, &rng);
@@ -248,10 +232,8 @@ TEST(WorkspaceTest, ArenaNeverChangesNumericResults) {
     Matrix d = MatMul(b, c.Transposed());
     return MatMul(d, c);
   };
-  EnabledGuard guard;
-  Workspace::SetEnabled(false);
+  ASSERT_EQ(Workspace::Current(), nullptr);
   const Matrix expect = compute();
-  Workspace::SetEnabled(true);
   Workspace ws;
   Workspace::Bind bind(&ws);
   for (int i = 0; i < 3; ++i) {  // later rounds run on recycled buffers

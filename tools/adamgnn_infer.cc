@@ -103,7 +103,7 @@ const std::vector<cli::FlagSpec>& Specs() {
           {"seed", "synthetic-data / scratch-model seed (default 1)"},
           {"threads", "kernel worker threads (default: ADAMGNN_NUM_THREADS "
                       "env\nor hardware concurrency)"},
-          {"isa", "scalar|sse2|avx2: force the SIMD kernel backend "
+          {"isa", "scalar|avx2: force the SIMD kernel backend "
                   "(default:\nADAMGNN_ISA env or best supported); exits 2 "
                   "if the CPU\ncannot run it"},
           {"output", "predictions file (default: stdout).\nnc: "

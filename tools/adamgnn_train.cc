@@ -63,7 +63,7 @@ const std::vector<cli::FlagSpec>& Specs() {
           {"threads", "kernel worker threads (default: ADAMGNN_NUM_THREADS "
                       "env\nor hardware concurrency). Results are "
                       "bitwise-identical\nat every thread count."},
-          {"isa", "scalar|sse2|avx2: force the SIMD kernel backend "
+          {"isa", "scalar|avx2: force the SIMD kernel backend "
                   "(default:\nADAMGNN_ISA env or best the CPU supports). "
                   "Exits 2 if the\nCPU cannot run it. At a fixed ISA "
                   "results are\nbitwise-reproducible; across ISAs dense "

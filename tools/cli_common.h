@@ -203,7 +203,7 @@ inline void ConfigureThreadsOrDie(const FlagMap& flags) {
   util::SetNumThreads(static_cast<int>(n));
 }
 
-/// Applies --isa=scalar|sse2|avx2 to the kernel dispatcher. Unlike the
+/// Applies --isa=scalar|avx2 to the kernel dispatcher. Unlike the
 /// ADAMGNN_ISA environment override (which warns and falls back), an
 /// explicit flag naming an ISA this CPU cannot run is an error: exit 2.
 inline void ConfigureIsaOrDie(const FlagMap& flags) {
@@ -211,7 +211,7 @@ inline void ConfigureIsaOrDie(const FlagMap& flags) {
   const std::string name = FlagOr(flags, "isa", "");
   tensor::Isa isa;
   if (!tensor::ParseIsa(name, &isa)) {
-    std::fprintf(stderr, "--isa must be scalar|sse2|avx2, got \"%s\"\n",
+    std::fprintf(stderr, "--isa must be scalar|avx2, got \"%s\"\n",
                  name.c_str());
     std::exit(2);
   }
