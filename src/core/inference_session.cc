@@ -15,8 +15,8 @@ namespace adamgnn::core {
 namespace {
 
 // Request telemetry: every Run() is one request; cache hits return the
-// memoized Result, misses pay for RunUncached. Evictions count plans pushed
-// out of the LRU-ish FIFO by kMaxCachedPlans.
+// memoized Result, misses pay for RunUncached. Evictions count graphs pushed
+// out of the FIFO by kMaxCachedPlans.
 obs::Counter& InferRequests() {
   static obs::Counter* c = new obs::Counter("infer.requests");
   return *c;
@@ -119,10 +119,41 @@ util::Status InferenceSession::TryRun(
   ADAMGNN_CHECK(plan != nullptr);
   ADAMGNN_CHECK(out != nullptr);
   *out = nullptr;
+  // Checked before the lookup: a plan built at another λ shares the
+  // graph's fingerprint, so it would otherwise hit this λ's result.
+  if (plan->lambda() != config_.lambda) {
+    return util::Status::InvalidArgument(
+        "plan lambda " + std::to_string(plan->lambda()) +
+        " != session lambda " + std::to_string(config_.lambda));
+  }
+  return Lookup(plan->fingerprint(), plan.get(), out);
+}
+
+util::Status InferenceSession::TryRun(const graph::Graph& g,
+                                      uint64_t fingerprint,
+                                      const Result** out) {
+  ADAMGNN_CHECK(out != nullptr);
+  *out = nullptr;
+  std::shared_ptr<const GraphPlan> plan;
+  if (Cached(fingerprint) == nullptr) {
+    ADAMGNN_ASSIGN_OR_RETURN(plan, GraphPlan::TryBuild(g, config_.lambda));
+  }
+  return Lookup(fingerprint, plan.get(), out);
+}
+
+const InferenceSession::Result* InferenceSession::Cached(
+    uint64_t fingerprint) const {
+  auto it = cache_.find(fingerprint);
+  return it == cache_.end() ? nullptr : &it->second;
+}
+
+util::Status InferenceSession::Lookup(uint64_t fingerprint,
+                                      const GraphPlan* plan,
+                                      const Result** out) {
   InferRequests().Add();
   obs::TraceSpan span("infer.request");
   util::Stopwatch sw;
-  auto it = cache_.find(plan.get());
+  auto it = cache_.find(fingerprint);
   if (it != cache_.end()) {
     PlanCacheHits().Add();
     span.Note("cache_hit", 1.0);
@@ -132,18 +163,19 @@ util::Status InferenceSession::TryRun(
   }
   PlanCacheMisses().Add();
   span.Note("cache_hit", 0.0);
+  ADAMGNN_CHECK(plan != nullptr);
   Result result;
   ADAMGNN_RETURN_NOT_OK(RunUncached(*plan, &result));
   // Partial results from a cancelled forward never reach the cache: the
   // eviction + insert below only happen after RunUncached ran to the end.
   if (order_.size() >= kMaxCachedPlans) {
     PlanCacheEvictions().Add();
-    cache_.erase(order_.front().get());
+    cache_.erase(order_.front());
     order_.erase(order_.begin());
   }
-  order_.push_back(plan);
+  order_.push_back(fingerprint);
   const Result& cached =
-      cache_.emplace(plan.get(), std::move(result)).first->second;
+      cache_.emplace(fingerprint, std::move(result)).first->second;
   RequestSeconds().Observe(sw.ElapsedSeconds());
   *out = &cached;
   return util::Status::OK();
@@ -154,11 +186,6 @@ util::Status InferenceSession::RunUncached(const GraphPlan& plan,
   if (!plan.feature_constant().defined()) {
     return util::Status::FailedPrecondition(
         "plan has no feature constant (graph without node features)");
-  }
-  if (plan.lambda() != config_.lambda) {
-    return util::Status::InvalidArgument(
-        "plan lambda " + std::to_string(plan.lambda()) +
-        " != session lambda " + std::to_string(config_.lambda));
   }
   const tensor::Matrix& x = plan.feature_constant().value();
   if (x.cols() != config_.in_dim) {
@@ -183,50 +210,6 @@ util::Status InferenceSession::RunUncached(const GraphPlan& plan,
   out->level1_egos = std::move(fwd.level1_egos);
   out->level1_ego_of_node = std::move(fwd.level1_ego_of_node);
   return util::Status::OK();
-}
-
-std::vector<int> InferenceSession::PredictNodes(
-    const std::shared_ptr<const GraphPlan>& plan) {
-  const Result& r = Run(plan);
-  ADAMGNN_CHECK_GT(r.logits.size(), 0u);
-  std::vector<int> pred(r.logits.rows());
-  for (size_t i = 0; i < r.logits.rows(); ++i) {
-    const double* row = r.logits.row(i);
-    size_t best = 0;
-    for (size_t j = 1; j < r.logits.cols(); ++j) {
-      if (row[j] > row[best]) best = j;
-    }
-    pred[i] = static_cast<int>(best);
-  }
-  return pred;
-}
-
-std::vector<double> InferenceSession::ScoreLinks(
-    const std::shared_ptr<const GraphPlan>& plan,
-    const std::vector<std::pair<size_t, size_t>>& pairs) {
-  const Result& r = Run(plan);
-  std::vector<double> scores(pairs.size());
-  for (size_t e = 0; e < pairs.size(); ++e) {
-    ADAMGNN_CHECK_LT(pairs[e].first, r.embeddings.rows());
-    ADAMGNN_CHECK_LT(pairs[e].second, r.embeddings.rows());
-    const double* a = r.embeddings.row(pairs[e].first);
-    const double* b = r.embeddings.row(pairs[e].second);
-    double s = 0.0;
-    for (size_t j = 0; j < r.embeddings.cols(); ++j) s += a[j] * b[j];
-    scores[e] = s;
-  }
-  return scores;
-}
-
-tensor::Matrix InferenceSession::GraphLogits(
-    const std::shared_ptr<const GraphPlan>& plan,
-    const std::vector<size_t>& node_to_graph, size_t num_graphs) {
-  ADAMGNN_CHECK(model_->graph_head() != nullptr);
-  const Result& r = Run(plan);
-  autograd::NoGradGuard no_grad;
-  AdamGnn::Output out;
-  out.embeddings = autograd::Variable::Constant(r.embeddings);
-  return model_->GraphLogits(out, node_to_graph, num_graphs).value();
 }
 
 }  // namespace adamgnn::core

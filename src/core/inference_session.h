@@ -5,11 +5,14 @@
 // Forward(training=false), minus the tape, so session outputs are
 // bitwise-identical to it at the same weights.
 //
-// Caching: results are memoized per GraphPlan, so repeated queries against
-// the same graph skip the pooling cascade entirely (the dominant serving
-// cost). Invalidation follows the two-axis rule documented in DESIGN.md:
+// Caching: results are memoized per graph fingerprint
+// (GraphPlan::Fingerprint), so repeated queries against the same graph skip
+// the pooling cascade entirely (the dominant serving cost), whichever plan
+// object carries them. The cache is a FIFO of the kMaxCachedPlans most
+// recently inserted graphs. Invalidation follows the two-axis rule
+// documented in DESIGN.md:
 //   weights change  => RefreshWeights(model)  — drops the result cache,
-//   topology change => build a new GraphPlan  — a new cache key.
+//   topology change => a new fingerprint      — a new cache key.
 
 #ifndef ADAMGNN_CORE_INFERENCE_SESSION_H_
 #define ADAMGNN_CORE_INFERENCE_SESSION_H_
@@ -17,11 +20,11 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/adamgnn_model.h"
 #include "core/graph_plan.h"
+#include "graph/graph.h"
 #include "tensor/matrix.h"
 #include "util/status.h"
 
@@ -52,10 +55,11 @@ class InferenceSession {
     std::vector<int64_t> level1_ego_of_node;
   };
 
-  /// Runs (or returns the cached) forward for `plan`. The reference stays
-  /// valid until RefreshWeights or eviction of that entry (the cache holds
-  /// the most recent kMaxCachedPlans plans). Aborts on a malformed plan or
-  /// a fired cancellation token — serving layers use TryRun instead.
+  /// Runs (or returns the cached) forward for `plan`, keyed by
+  /// plan->fingerprint(). The reference stays valid until RefreshWeights or
+  /// eviction of that entry (the cache holds the kMaxCachedPlans most
+  /// recently inserted graphs). Aborts on a malformed plan or a fired
+  /// cancellation token — serving layers use TryRun instead.
   const Result& Run(const std::shared_ptr<const GraphPlan>& plan);
 
   /// Status-returning Run for the serving path. Polls the ambient
@@ -71,19 +75,16 @@ class InferenceSession {
   util::Status TryRun(const std::shared_ptr<const GraphPlan>& plan,
                       const Result** out);
 
-  /// Argmax class per node. Requires a model with a node head.
-  std::vector<int> PredictNodes(const std::shared_ptr<const GraphPlan>& plan);
+  /// TryRun for a graph whose `fingerprint` (GraphPlan::Fingerprint(g)) the
+  /// caller already computed. Only a miss builds a plan, with
+  /// GraphPlan::TryBuild at the session's λ, under the same cancellation
+  /// rules; the plan is dropped once its result is cached.
+  util::Status TryRun(const graph::Graph& g, uint64_t fingerprint,
+                      const Result** out);
 
-  /// Dot-product link scores over the raw embeddings.
-  std::vector<double> ScoreLinks(
-      const std::shared_ptr<const GraphPlan>& plan,
-      const std::vector<std::pair<size_t, size_t>>& pairs);
-
-  /// Graph-classification logits ([mean ‖ max] readout through the graph
-  /// head). Requires a model with a graph head.
-  tensor::Matrix GraphLogits(const std::shared_ptr<const GraphPlan>& plan,
-                             const std::vector<size_t>& node_to_graph,
-                             size_t num_graphs);
+  /// The cached result for `fingerprint`, or nullptr. Runs nothing and
+  /// counts nothing; the pointer has the lifetime of Run's reference.
+  const Result* Cached(uint64_t fingerprint) const;
 
   /// Re-snapshots the model's parameters and drops every cached result
   /// (weights change => selection cascade is stale).
@@ -98,11 +99,15 @@ class InferenceSession {
   /// verification.
   uint64_t WeightsFingerprint() const { return weights_fingerprint_; }
 
-  /// Result-cache capacity. serve::ResilientServer sizes its plan caches
-  /// with this same constant (see server.h).
+  /// Result-cache capacity, in graphs.
   static constexpr size_t kMaxCachedPlans = 16;
 
  private:
+  /// Counts one request and serves `fingerprint` from the cache; on a miss
+  /// runs `plan` (non-null whenever `fingerprint` is not cached) and caches
+  /// the result.
+  util::Status Lookup(uint64_t fingerprint, const GraphPlan* plan,
+                      const Result** out);
   util::Status RunUncached(const GraphPlan& plan, Result* out) const;
   void Snapshot(const AdamGnn& model);
 
@@ -110,11 +115,10 @@ class InferenceSession {
   uint64_t weights_fingerprint_ = 0;
   std::unique_ptr<const AdamGnn> model_;  // frozen deep copy
 
-  // Result cache keyed by plan identity; the shared_ptrs keep cached plans
-  // alive so a recycled address can never alias a stale entry. `order_`
-  // tracks insertion order for eviction.
-  std::unordered_map<const GraphPlan*, Result> cache_;
-  std::vector<std::shared_ptr<const GraphPlan>> order_;
+  // Result cache keyed by graph fingerprint; `order_` holds the keys in
+  // insertion order, oldest first, for FIFO eviction.
+  std::unordered_map<uint64_t, Result> cache_;
+  std::vector<uint64_t> order_;
 };
 
 }  // namespace adamgnn::core

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/graph_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -54,6 +55,17 @@ bool IsTerminal(const util::Status& s) {
          s.code() == util::StatusCode::kCancelled;
 }
 
+/// Copies `session`'s cached result into a response tagged `mode`.
+void CopyResult(const core::InferenceSession& session,
+                const core::InferenceSession::Result& r, ServeMode mode,
+                ServeResult* out) {
+  out->embeddings = r.embeddings;
+  out->logits = r.logits;
+  out->mode = mode;
+  out->lambda_used = session.config().lambda;
+  out->levels_used = session.config().num_levels;
+}
+
 }  // namespace
 
 const char* ServeModeToString(ServeMode mode) {
@@ -79,10 +91,6 @@ ResilientServer::ResilientServer(const core::AdamGnn& model,
   ADAMGNN_CHECK_GE(options.max_retries, 0);
   ADAMGNN_CHECK_GE(options.degraded_lambda, 1);
   ADAMGNN_CHECK_GE(options.degraded_max_levels, 1);
-}
-
-uint64_t ResilientServer::FingerprintOf(const graph::Graph& g) {
-  return core::GraphPlan::Fingerprint(g);
 }
 
 util::Result<ServeResult> ResilientServer::Serve(
@@ -190,11 +198,10 @@ util::Result<ServeResult> ResilientServer::Serve(
     util::Status st;
     {
       util::ScopedCancel bind(token);
-      st = RunFull(g, fingerprint, &result);
+      st = Run(&session_, ServeMode::kFull, g, fingerprint, &result);
     }
     if (st.ok()) {
       breaker_.RecordSuccess(fingerprint);
-      StoreStale(fingerprint, result);
       result.attempts = attempts;
       ServeOk().Add();
       ServeSeconds().Observe(watch.ElapsedSeconds());
@@ -225,7 +232,8 @@ util::Result<ServeResult> ResilientServer::Degrade(
   {
     util::ScopedCancel bind(token);
     ServeResult result;
-    util::Status st = RunDegraded(g, fingerprint, &result);
+    util::Status st = Run(&degraded_session_, ServeMode::kDegradedShallow, g,
+                          fingerprint, &result);
     if (st.ok()) {
       result.attempts = attempts + 1;
       ServeDegraded().Add();
@@ -234,8 +242,8 @@ util::Result<ServeResult> ResilientServer::Degrade(
     }
   }
 
-  // Rung 2: a stale cached result for the same graph, if we ever served it
-  // successfully before.
+  // Rung 2: the full session's cached result for the same graph, if it
+  // still holds one.
   ServeResult stale;
   if (LookupStale(fingerprint, &stale)) {
     stale.attempts = attempts + 1;
@@ -247,82 +255,21 @@ util::Result<ServeResult> ResilientServer::Degrade(
   return cause;
 }
 
-util::Status ResilientServer::RunFull(const graph::Graph& g,
-                                      uint64_t fingerprint, ServeResult* out) {
+util::Status ResilientServer::Run(core::InferenceSession* session,
+                                  ServeMode mode, const graph::Graph& g,
+                                  uint64_t fingerprint, ServeResult* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<const core::GraphPlan> plan;
-  auto it = plans_.find(fingerprint);
-  if (it != plans_.end()) {
-    plan = it->second;
-  } else {
-    ADAMGNN_ASSIGN_OR_RETURN(
-        plan, core::GraphPlan::TryBuild(g, session_.config().lambda));
-    if (plans_.size() >= core::InferenceSession::kMaxCachedPlans) {
-      plans_.erase(plan_order_.front());
-      plan_order_.erase(plan_order_.begin());
-    }
-    plans_.emplace(fingerprint, plan);
-    plan_order_.push_back(fingerprint);
-  }
   const core::InferenceSession::Result* r = nullptr;
-  ADAMGNN_RETURN_NOT_OK(session_.TryRun(plan, &r));
-  out->embeddings = r->embeddings;
-  out->logits = r->logits;
-  out->mode = ServeMode::kFull;
-  out->lambda_used = session_.config().lambda;
-  out->levels_used = session_.config().num_levels;
+  ADAMGNN_RETURN_NOT_OK(session->TryRun(g, fingerprint, &r));
+  CopyResult(*session, *r, mode, out);
   return util::Status::OK();
-}
-
-util::Status ResilientServer::RunDegraded(const graph::Graph& g,
-                                          uint64_t fingerprint,
-                                          ServeResult* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<const core::GraphPlan> plan;
-  auto it = degraded_plans_.find(fingerprint);
-  if (it != degraded_plans_.end()) {
-    plan = it->second;
-  } else {
-    ADAMGNN_ASSIGN_OR_RETURN(
-        plan, core::GraphPlan::TryBuild(g, degraded_session_.config().lambda));
-    if (degraded_plans_.size() >= core::InferenceSession::kMaxCachedPlans) {
-      degraded_plans_.erase(degraded_plan_order_.front());
-      degraded_plan_order_.erase(degraded_plan_order_.begin());
-    }
-    degraded_plans_.emplace(fingerprint, plan);
-    degraded_plan_order_.push_back(fingerprint);
-  }
-  const core::InferenceSession::Result* r = nullptr;
-  ADAMGNN_RETURN_NOT_OK(degraded_session_.TryRun(plan, &r));
-  out->embeddings = r->embeddings;
-  out->logits = r->logits;
-  out->mode = ServeMode::kDegradedShallow;
-  out->lambda_used = degraded_session_.config().lambda;
-  out->levels_used = degraded_session_.config().num_levels;
-  return util::Status::OK();
-}
-
-void ResilientServer::StoreStale(uint64_t fingerprint,
-                                 const ServeResult& result) {
-  if (options_.max_stale_results == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stale_.find(fingerprint) == stale_.end()) {
-    if (stale_.size() >= options_.max_stale_results) {
-      stale_.erase(stale_order_.front());
-      stale_order_.erase(stale_order_.begin());
-    }
-    stale_order_.push_back(fingerprint);
-  }
-  ServeResult copy = result;
-  copy.mode = ServeMode::kDegradedStale;  // pre-tagged for serving later
-  stale_[fingerprint] = std::move(copy);
 }
 
 bool ResilientServer::LookupStale(uint64_t fingerprint, ServeResult* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = stale_.find(fingerprint);
-  if (it == stale_.end()) return false;
-  *out = it->second;
+  const core::InferenceSession::Result* r = session_.Cached(fingerprint);
+  if (r == nullptr) return false;
+  CopyResult(session_, *r, ServeMode::kDegradedStale, out);
   return true;
 }
 
@@ -335,12 +282,6 @@ void ResilientServer::RefreshWeights(const core::AdamGnn& model) {
   std::lock_guard<std::mutex> lock(mu_);
   session_.RefreshWeights(model);
   degraded_session_.RefreshWeights(model);
-  plans_.clear();
-  plan_order_.clear();
-  degraded_plans_.clear();
-  degraded_plan_order_.clear();
-  stale_.clear();
-  stale_order_.clear();
 }
 
 }  // namespace adamgnn::serve

@@ -21,9 +21,12 @@
 //      response with the rung that produced it.
 //
 // Every request runs the same sequential path: forwards are serialized
-// per server under one lock, and each attempt reuses the server's cached
-// GraphPlan for its graph. A response that ran the full plan with no token
-// firing is bitwise-identical to InferenceSession::Run on the same graph.
+// per server under one lock. The server keeps no cache of its own: each
+// session's fingerprint-keyed result cache decides hits, and a miss builds
+// its plan inside the session. The "stale" result is the full session's
+// cached entry for the graph, so it lives exactly as long as that entry. A
+// response that ran the full plan with no token firing is
+// bitwise-identical to InferenceSession::Run on the same graph.
 //
 // Metrics: serve.requests / serve.ok / serve.degraded /
 // serve.deadline_exceeded / serve.retries counters and the
@@ -37,12 +40,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "core/adamgnn_model.h"
-#include "core/graph_plan.h"
 #include "core/inference_session.h"
+#include "graph/graph.h"
 #include "serve/admission.h"
 #include "serve/breaker.h"
 #include "serve/lifecycle.h"
@@ -72,8 +73,6 @@ struct ServerOptions {
   bool allow_degraded = true;
   int degraded_lambda = 1;
   int degraded_max_levels = 1;
-  /// Stale-result cache entries kept for last-ditch degradation.
-  size_t max_stale_results = 16;
   /// Optional, non-owning process lifecycle. When set, Serve consults
   /// lifecycle->Admit() before any work (Unavailable unless Ready) and
   /// registers every admitted request via Track/BindToken so drains wait
@@ -87,7 +86,7 @@ struct ServerOptions {
 enum class ServeMode {
   kFull = 0,            // full-λ plan, fresh forward
   kDegradedShallow = 1, // shallow-λ / fewer-levels fresh forward
-  kDegradedStale = 2,   // stale cached result for the same graph
+  kDegradedStale = 2,   // the full session's cached result for the graph
 };
 const char* ServeModeToString(ServeMode mode);
 
@@ -130,10 +129,10 @@ class ResilientServer {
   util::Result<ServeResult> Serve(const graph::Graph& g,
                                   const RequestOptions& request = {});
 
-  /// Re-snapshots weights into both sessions and drops every cached plan,
-  /// result, and stale entry (weights change ⇒ everything downstream is
-  /// stale). Breaker state survives: it describes the plan, not the
-  /// weights.
+  /// Re-snapshots weights into both sessions and drops their cached
+  /// results, the stale rung's included (weights change ⇒ everything
+  /// downstream is stale). Breaker state survives: it describes the plan,
+  /// not the weights.
   void RefreshWeights(const core::AdamGnn& model);
 
   const ServerOptions& options() const { return options_; }
@@ -143,19 +142,18 @@ class ResilientServer {
   /// InferenceSession::WeightsFingerprint) — the registry's version
   /// identity.
   uint64_t weights_fingerprint() const;
-  /// The breaker/stale-cache key for `g` (exposed for tests).
-  static uint64_t FingerprintOf(const graph::Graph& g);
 
  private:
-  // All three run under mu_: the underlying InferenceSession caches are
-  // single-writer structures, so forwards are serialized per server. The
-  // cooperative checkpoints keep each critical section bounded by one
-  // (cancellable) forward.
-  util::Status RunFull(const graph::Graph& g, uint64_t fingerprint,
-                       ServeResult* out);
-  util::Status RunDegraded(const graph::Graph& g, uint64_t fingerprint,
-                           ServeResult* out);
-  void StoreStale(uint64_t fingerprint, const ServeResult& result);
+  // Both run under mu_: the InferenceSession caches are single-writer
+  // structures, so forwards are serialized per server. The cooperative
+  // checkpoints keep each critical section bounded by one (cancellable)
+  // plan build + forward.
+  /// Serves `g` through `session` (full or degraded) and tags it `mode`.
+  util::Status Run(core::InferenceSession* session, ServeMode mode,
+                   const graph::Graph& g, uint64_t fingerprint,
+                   ServeResult* out);
+  /// The full session's cached result for `fingerprint`, tagged
+  /// kDegradedStale; false when the graph is not cached.
   bool LookupStale(uint64_t fingerprint, ServeResult* out);
 
   util::Result<ServeResult> Degrade(const graph::Graph& g,
@@ -171,18 +169,6 @@ class ResilientServer {
   mutable std::mutex mu_;
   core::InferenceSession session_;
   core::InferenceSession degraded_session_;
-  // Plan FIFOs, one per session, sized by
-  // core::InferenceSession::kMaxCachedPlans. The session's result cache is
-  // keyed by plan pointer, so a larger FIFO here would keep handing the
-  // session plans whose results it already evicted, and a smaller one would
-  // leave it holding results no lookup can reach.
-  std::unordered_map<uint64_t, std::shared_ptr<const core::GraphPlan>> plans_;
-  std::vector<uint64_t> plan_order_;
-  std::unordered_map<uint64_t, std::shared_ptr<const core::GraphPlan>>
-      degraded_plans_;
-  std::vector<uint64_t> degraded_plan_order_;
-  std::unordered_map<uint64_t, ServeResult> stale_;
-  std::vector<uint64_t> stale_order_;
 };
 
 }  // namespace adamgnn::serve

@@ -1,13 +1,15 @@
 // Parity suite for the tape-free serving path: core::InferenceSession must
 // be bitwise identical to AdamGnn::Forward(training=false) at the same
 // weights — across tasks (node / link / graph), thread counts, and the
-// warm-vs-cold plan cache. Comparisons use Matrix::operator== (exact
+// warm-vs-cold result cache — and that cache must be keyed by graph
+// fingerprint with FIFO eviction. Comparisons use Matrix::operator== (exact
 // doubles), not AllClose: the session runs the model's own forward under
 // NoGradGuard, so any drift is a bug.
 
 #include "core/inference_session.h"
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -18,7 +20,9 @@
 #include "graph/batch.h"
 #include "gtest/gtest.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "test_util.h"
+#include "util/cancel.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -74,18 +78,6 @@ TEST(InferenceSessionTest, NodeTaskBitwiseParity) {
   InferenceSession session(model);
   auto plan = GraphPlan::Build(g, c.lambda);
   ExpectParity(ref, session.Run(plan));
-
-  // PredictNodes is plain argmax over the (identical) logits.
-  std::vector<int> pred = session.PredictNodes(plan);
-  ASSERT_EQ(pred.size(), g.num_nodes());
-  for (size_t i = 0; i < pred.size(); ++i) {
-    const Matrix& l = ref.logits.value();
-    size_t best = 0;
-    for (size_t j = 1; j < l.cols(); ++j) {
-      if (l(i, j) > l(i, best)) best = j;
-    }
-    EXPECT_EQ(pred[i], static_cast<int>(best));
-  }
 }
 
 TEST(InferenceSessionTest, LinkTaskBitwiseParity) {
@@ -101,19 +93,6 @@ TEST(InferenceSessionTest, LinkTaskBitwiseParity) {
   const InferenceSession::Result& got = session.Run(plan);
   EXPECT_TRUE(ref.embeddings.value() == got.embeddings);
   EXPECT_EQ(got.logits.size(), 0u);
-
-  // Link scores are exact dot products of the (identical) embeddings.
-  std::vector<std::pair<size_t, size_t>> pairs = {{0, 1}, {2, 3}, {5, 0}};
-  std::vector<double> scores = session.ScoreLinks(plan, pairs);
-  ASSERT_EQ(scores.size(), pairs.size());
-  const Matrix& h = ref.embeddings.value();
-  for (size_t e = 0; e < pairs.size(); ++e) {
-    double want = 0.0;
-    for (size_t j = 0; j < h.cols(); ++j) {
-      want += h(pairs[e].first, j) * h(pairs[e].second, j);
-    }
-    EXPECT_EQ(scores[e], want);
-  }
 }
 
 TEST(InferenceSessionTest, GraphTaskBitwiseParity) {
@@ -133,16 +112,10 @@ TEST(InferenceSessionTest, GraphTaskBitwiseParity) {
   AdamGnn model(c, &rng);
   util::Rng frng(6);
   AdamGnn::Output ref = model.Forward(batch.merged, false, &frng);
-  autograd::Variable ref_logits =
-      model.GraphLogits(ref, batch.node_to_graph, batch.num_graphs());
 
   InferenceSession session(model);
   auto plan = GraphPlan::Build(batch.merged, c.lambda);
-  const InferenceSession::Result& got = session.Run(plan);
-  EXPECT_TRUE(ref.embeddings.value() == got.embeddings);
-  Matrix got_logits =
-      session.GraphLogits(plan, batch.node_to_graph, batch.num_graphs());
-  EXPECT_TRUE(ref_logits.value() == got_logits);
+  ExpectParity(ref, session.Run(plan));
 }
 
 TEST(InferenceSessionTest, ThreadCountInvariance) {
@@ -188,6 +161,107 @@ TEST(InferenceSessionTest, WarmCacheReturnsIdenticalCachedResult) {
   EXPECT_TRUE(warm.logits == other.logits);
   EXPECT_TRUE(warm.flyback_attention == other.flyback_attention);
   EXPECT_EQ(plan->fingerprint(), plan2->fingerprint());
+}
+
+uint64_t PlanCacheHits() {
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().Collect().counters) {
+    if (name == "infer.plan_cache.hits") return value;
+  }
+  return 0;
+}
+
+TEST(InferenceSessionTest, PlansOfOneGraphShareOneCacheEntry) {
+  obs::SetEnabled(true);
+  graph::Graph g = Ring(24, 4, 41);
+  util::Rng rng(14);
+  AdamGnnConfig c = SmallConfig(4, 2);
+  AdamGnn model(c, &rng);
+  InferenceSession session(model);
+
+  auto plan_a = GraphPlan::Build(g, c.lambda);
+  auto plan_b = GraphPlan::Build(g, c.lambda);
+  ASSERT_NE(plan_a.get(), plan_b.get());
+  const InferenceSession::Result& cold = session.Run(plan_a);
+  const uint64_t hits = PlanCacheHits();
+  const InferenceSession::Result& warm = session.Run(plan_b);
+  EXPECT_EQ(&cold, &warm);
+  EXPECT_EQ(PlanCacheHits(), hits + 1);
+
+  // The graph overload finds the same entry without building a plan.
+  const InferenceSession::Result* by_graph = nullptr;
+  ASSERT_TRUE(session.TryRun(g, GraphPlan::Fingerprint(g), &by_graph).ok());
+  EXPECT_EQ(by_graph, &cold);
+  EXPECT_EQ(PlanCacheHits(), hits + 2);
+  EXPECT_EQ(session.Cached(plan_a->fingerprint()), &cold);
+
+  // A plan at another λ shares the fingerprint but not the result.
+  auto wide = GraphPlan::Build(g, c.lambda + 1);
+  const InferenceSession::Result* out = nullptr;
+  EXPECT_EQ(session.TryRun(wide, &out).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(out, nullptr);
+}
+
+TEST(InferenceSessionTest, GraphOverloadMissMatchesPlanRun) {
+  graph::Graph g = Ring(30, 4, 43);
+  util::Rng rng(15);
+  AdamGnnConfig c = SmallConfig(4, 2);
+  AdamGnn model(c, &rng);
+  InferenceSession by_plan(model);
+  const InferenceSession::Result& want =
+      by_plan.Run(GraphPlan::Build(g, c.lambda));
+
+  InferenceSession by_graph(model);
+  const InferenceSession::Result* got = nullptr;
+  ASSERT_TRUE(by_graph.TryRun(g, GraphPlan::Fingerprint(g), &got).ok());
+  ASSERT_NE(got, nullptr);
+  EXPECT_TRUE(got->embeddings == want.embeddings);
+  EXPECT_TRUE(got->logits == want.logits);
+  EXPECT_TRUE(got->flyback_attention == want.flyback_attention);
+}
+
+TEST(InferenceSessionTest, CacheEvictsTheOldestGraphFirst) {
+  util::Rng rng(16);
+  AdamGnnConfig c = SmallConfig(4, 2);
+  AdamGnn model(c, &rng);
+  InferenceSession session(model);
+
+  constexpr size_t kGraphs = InferenceSession::kMaxCachedPlans + 1;
+  std::vector<uint64_t> fps;
+  for (size_t i = 0; i < kGraphs; ++i) {
+    graph::Graph g = Ring(6 + i, 4, 300 + i);
+    fps.push_back(GraphPlan::Fingerprint(g));
+    session.Run(GraphPlan::Build(g, c.lambda));
+  }
+  EXPECT_EQ(session.Cached(fps[0]), nullptr);
+  for (size_t i = 1; i < kGraphs; ++i) {
+    EXPECT_NE(session.Cached(fps[i]), nullptr) << "graph " << i;
+  }
+}
+
+TEST(InferenceSessionTest, RefreshAndCancelledRunsLeaveNoEntry) {
+  graph::Graph g = TwoTriangles();
+  const uint64_t fp = GraphPlan::Fingerprint(g);
+  util::Rng rng(17);
+  AdamGnnConfig c = SmallConfig(4, 2);
+  AdamGnn model(c, &rng);
+  InferenceSession session(model);
+  auto plan = GraphPlan::Build(g, c.lambda);
+
+  session.Run(plan);
+  ASSERT_NE(session.Cached(fp), nullptr);
+  session.RefreshWeights(model);
+  EXPECT_EQ(session.Cached(fp), nullptr);
+
+  util::CancelToken token = util::CancelToken::Cancellable();
+  token.Cancel();
+  util::ScopedCancel bind(token);
+  const InferenceSession::Result* out = nullptr;
+  EXPECT_EQ(session.TryRun(plan, &out).code(), util::StatusCode::kCancelled);
+  EXPECT_EQ(session.TryRun(g, fp, &out).code(), util::StatusCode::kCancelled);
+  EXPECT_EQ(out, nullptr);
+  EXPECT_EQ(session.Cached(fp), nullptr);
 }
 
 TEST(InferenceSessionTest, RefreshWeightsTracksTrainingSteps) {

@@ -375,7 +375,7 @@ TEST(ResilientServerTest, BreakerTripsShedsAndRecovers) {
   util::Rng rng(8);
   AdamGnn model(SmallConfig(4, 2), &rng);
   const InferenceSession::Result ref = Reference(model, g);
-  const uint64_t fp = ResilientServer::FingerprintOf(g);
+  const uint64_t fp = GraphPlan::Fingerprint(g);
 
   ServerOptions options;
   options.allow_degraded = false;
@@ -436,38 +436,48 @@ TEST(ResilientServerTest, BreakerShedDegradesToShallowPlan) {
 
 TEST(ResilientServerTest, StaleResultIsLastDitchFallback) {
   graph::Graph g = TwoTriangles();
+  graph::Graph big = Ring(20000, 4, /*seed=*/10);
+  const uint64_t fp = GraphPlan::Fingerprint(g);
   util::Rng rng(10);
   AdamGnn model(SmallConfig(4, 2), &rng);
 
   ServerOptions options;
-  options.max_retries = 0;
-  options.max_stale_results = 64;  // outlive the plan/result caches
+  options.max_inflight = 1;
   ResilientServer server(model, options);
   auto first = server.Serve(g);
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(first.ValueOrDie().mode, ServeMode::kFull);
 
-  // A fresh identical request would be served from the session's result
-  // cache — for free, at full fidelity — so the stale rung can only matter
-  // once that cache has moved on. Serve enough other graphs to evict g's
-  // plan and cached result (both caches keep kMaxCachedPlans = 16 entries).
-  for (int i = 0; i < 17; ++i) {
-    graph::Graph other = Ring(8 + static_cast<size_t>(i), 4,
-                              200 + static_cast<uint64_t>(i));
-    ASSERT_TRUE(server.Serve(other).ok());
-  }
+  // Over budget: a second client's cold forward of a large graph holds the
+  // only permit, so admission rejects g and the free fallback — g's entry
+  // in the full session's result cache — answers, tagged as stale.
+  std::atomic<bool> big_done{false}, big_ok{false};
+  std::thread client([&] {
+    big_ok = server.Serve(big).ok();
+    big_done = true;
+  });
+  while (server.inflight() == 0 && !big_done) std::this_thread::yield();
+  auto rejected = server.Serve(g);
+  client.join();
+  EXPECT_TRUE(big_ok.load());
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected.ValueOrDie().mode, ServeMode::kDegradedStale);
+  EXPECT_TRUE(rejected.ValueOrDie().embeddings ==
+              first.ValueOrDie().embeddings);
+  EXPECT_TRUE(rejected.ValueOrDie().logits == first.ValueOrDie().logits);
 
-  // Storm: the recompute AND the shallow degraded attempt both fail (every
-  // serving attempt carries a live token, so allocation pressure fires them
-  // all). Only the stale cached result is left — and it must be the exact
-  // bytes of the original full response, tagged as stale.
+  // Last rung of the ladder: the breaker sheds g and a storm fails the
+  // shallow forward, so only the cached result is left.
+  for (int i = 0; i < options.breaker.failure_threshold; ++i) {
+    server.breaker().RecordFailure(fp);
+  }
   ScopedFaultPlan fault(
       FaultPlan{.fail_alloc_at = 1, .fail_alloc_count = 1000000000});
   auto got = server.Serve(g);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.ValueOrDie().mode, ServeMode::kDegradedStale);
-  EXPECT_TRUE(got.ValueOrDie().embeddings ==
-              first.ValueOrDie().embeddings);
+  EXPECT_EQ(got.ValueOrDie().attempts, 1);
+  EXPECT_TRUE(got.ValueOrDie().embeddings == first.ValueOrDie().embeddings);
 }
 
 TEST(ResilientServerTest, ExternalTokenCancelsTheRequest) {
@@ -559,7 +569,7 @@ TEST(ResilientServerTest, ConcurrentServesWithCancellationAreSafe) {
 // ---------------------------------------------------------------------------
 // Concurrent clients on the default options: every forward is serialized
 // under the server lock, so interleaving must not move a bit. TSan watches
-// the shared plan/result/stale caches.
+// the sessions' shared result caches.
 
 TEST(ResilientServerTest, ConcurrentServesAreBitwiseIdenticalPerRequest) {
   constexpr size_t kClients = 4;
@@ -605,7 +615,7 @@ TEST(ResilientServerTest, ClientErrorIsNeitherRetriedNorCountedByBreaker) {
   graph::Graph g_good = TwoTriangles();          // feature dim 4 == model
   graph::Graph g_bad = Ring(8, 6, /*seed=*/25);  // feature dim 6: malformed
   const InferenceSession::Result ref = Reference(model, g_good);
-  const uint64_t fp_bad = ResilientServer::FingerprintOf(g_bad);
+  const uint64_t fp_bad = GraphPlan::Fingerprint(g_bad);
 
   ServerOptions options;
   options.breaker.failure_threshold = 2;

@@ -18,7 +18,7 @@
 // stale cached result when the full path cannot complete. Responses that ran
 // the full plan are bitwise-identical to the trainer's eval-mode forward at
 // the same checkpoint. --repeat measures the warm path: repeated requests
-// for the same graph hit the session's per-plan result cache.
+// for the same graph hit the session's fingerprint-keyed result cache.
 //
 // Serve-loop mode (--serve-loop): the process becomes a long-running server
 // with a full lifecycle. The checkpoint is published through the versioned
