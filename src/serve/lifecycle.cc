@@ -159,9 +159,11 @@ bool ServerLifecycle::WaitForDrain() {
   size_t cancelled = 0;
   for (auto& [id, entry] : inflight_) {
     (void)id;
+    if (entry.cancel_status.ok()) {
+      entry.cancel_status = util::Status::Cancelled("drain deadline exceeded");
+    }
     if (entry.token.valid()) {
-      entry.token.CancelWith(
-          util::Status::Cancelled("drain deadline exceeded"));
+      entry.token.CancelWith(entry.cancel_status);
       ++cancelled;
     }
   }
@@ -205,19 +207,25 @@ void ServerLifecycle::Untrack(uint64_t id) {
 void ServerLifecycle::BindTokenFor(uint64_t id, const util::CancelToken& token) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = inflight_.find(id);
-  if (it != inflight_.end()) it->second.token = token;
+  if (it == inflight_.end()) return;
+  it->second.token = token;
+  const util::Status& cancelled = it->second.cancel_status;
+  if (!cancelled.ok()) token.CancelWith(cancelled);
 }
 
 size_t ServerLifecycle::SweepLocked(std::chrono::steady_clock::time_point now) {
   size_t cancelled = 0;
   for (auto& [id, entry] : inflight_) {
     (void)id;
-    if (!entry.has_bound || entry.flagged || now < entry.hard_bound) continue;
-    entry.flagged = true;
+    if (!entry.has_bound || !entry.cancel_status.ok() ||
+        now < entry.hard_bound) {
+      continue;
+    }
+    entry.cancel_status = util::Status::DeadlineExceeded(
+        "watchdog: request exceeded its hard bound");
     FlaggedCounter().Add(1);
     if (entry.token.valid()) {
-      entry.token.CancelWith(util::Status::DeadlineExceeded(
-          "watchdog: request exceeded its hard bound"));
+      entry.token.CancelWith(entry.cancel_status);
       CancelledCounter().Add(1);
       ++cancelled;
     }

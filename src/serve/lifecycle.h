@@ -85,7 +85,8 @@ class InflightGuard {
 
   /// Points the lifecycle at the token of the attempt about to execute.
   /// Call once per attempt — the watchdog and drain-cancel paths fire
-  /// whatever token is currently bound.
+  /// whatever token is currently bound, and a token bound after the request
+  /// was already flagged or drain-cancelled fires on binding.
   void BindToken(const util::CancelToken& token);
 
   bool tracked() const { return lifecycle_ != nullptr; }
@@ -161,7 +162,10 @@ class ServerLifecycle {
     util::CancelToken token;
     std::chrono::steady_clock::time_point hard_bound;
     bool has_bound = false;
-    bool flagged = false;
+    /// Why the watchdog or a drain cancelled the request; OK until then. A
+    /// token bound afterwards (the first bind racing the sweep, or a
+    /// retry's) is fired with it at once.
+    util::Status cancel_status;
   };
 
   void Untrack(uint64_t id);

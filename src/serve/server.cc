@@ -15,6 +15,10 @@ namespace adamgnn::serve {
 
 namespace {
 
+// The shallow rung of the degradation ladder: λ = 1 and one pooling level.
+constexpr int kDegradedLambda = 1;
+constexpr int kDegradedMaxLevels = 1;
+
 obs::Counter& ServeRequests() {
   static obs::Counter* c = new obs::Counter("serve.requests");
   return *c;
@@ -86,11 +90,8 @@ ResilientServer::ResilientServer(const core::AdamGnn& model,
       admission_(options.max_inflight),
       breaker_(options.breaker),
       session_(model),
-      degraded_session_(model, options.degraded_lambda,
-                        options.degraded_max_levels) {
+      degraded_session_(model, kDegradedLambda, kDegradedMaxLevels) {
   ADAMGNN_CHECK_GE(options.max_retries, 0);
-  ADAMGNN_CHECK_GE(options.degraded_lambda, 1);
-  ADAMGNN_CHECK_GE(options.degraded_max_levels, 1);
 }
 
 util::Result<ServeResult> ResilientServer::Serve(

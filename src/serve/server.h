@@ -15,10 +15,9 @@
 //      for a request-counted cooldown before probing;
 //   4. graceful degradation: when over budget, after a breaker trip, or
 //      once retries are exhausted, the server walks the degradation ladder
-//      full plan → shallow plan (λ = degraded_lambda, at most
-//      degraded_max_levels pooling levels; ADMP-GNN-style depth adaptation,
-//      accuracy degrades smoothly) → stale cached result — and tags the
-//      response with the rung that produced it.
+//      full plan → shallow plan (λ = 1, one pooling level; ADMP-GNN-style
+//      depth adaptation, accuracy degrades smoothly) → stale cached
+//      result — and tags the response with the rung that produced it.
 //
 // Every request runs the same sequential path: forwards are serialized
 // per server under one lock. The server keeps no cache of its own: each
@@ -71,8 +70,6 @@ struct ServerOptions {
   CircuitBreakerOptions breaker;
   /// Degradation ladder switches.
   bool allow_degraded = true;
-  int degraded_lambda = 1;
-  int degraded_max_levels = 1;
   /// Optional, non-owning process lifecycle. When set, Serve consults
   /// lifecycle->Admit() before any work (Unavailable unless Ready) and
   /// registers every admitted request via Track/BindToken so drains wait

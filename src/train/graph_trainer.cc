@@ -4,14 +4,6 @@
 
 #include "autograd/loss_ops.h"
 #include "autograd/ops.h"
-#include "nn/optimizer.h"
-#include "obs/trace.h"
-#include "tensor/workspace.h"
-#include "train/metrics.h"
-#include "train/resilience.h"
-#include "train/telemetry.h"
-#include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace adamgnn::train {
 
@@ -57,40 +49,19 @@ util::Result<GraphTaskResult> TrainGraphClassifier(
     return util::Status::InvalidArgument("batch_size must be positive");
   }
 
-  // Epoch-storage arena (see node_trainer.cc); declared before the optimizer
-  // so the optimizer's buffers drain into it on scope exit.
-  tensor::Workspace workspace;
-  tensor::Workspace::Bind workspace_bind(&workspace);
-
-  util::Rng rng(config.seed);
-  nn::Adam optimizer(model->Parameters(), config.learning_rate, 0.9, 0.999,
-                     1e-8, config.weight_decay);
-  TrainingResilience resilience(config, &optimizer, &rng);
-  ADAMGNN_ASSIGN_OR_RETURN(int start_epoch, resilience.Initialize());
-  nn::TrainingState& st = resilience.state();
-
-  GraphTaskResult result;
-  result.epochs_run = start_epoch;
-
-  for (int epoch = start_epoch; epoch < config.max_epochs; ++epoch) {
-    util::Stopwatch watch;
-    obs::TraceSpan epoch_span("train.epoch");
-    epoch_span.Note("epoch", static_cast<double>(epoch));
-    // Phase seconds accumulate across the epoch's mini-batches.
-    EpochPhases phases;
-    util::Stopwatch phase_watch;
-    double last_loss = 0.0;
-    double last_grad_norm = 0.0;
+  EpochTask task;
+  task.train = [&](Epoch* epoch) -> util::Status {
     // The epoch's batch order is a pure function of the split and the RNG
     // state at the epoch boundary (not of the previous epoch's order), so
     // a resumed run shuffles identically to an uninterrupted one.
     std::vector<size_t> train_order = split.train;
-    rng.Shuffle(&train_order);
+    epoch->rng()->Shuffle(&train_order);
     // A non-finite loss or gradient in any mini-batch abandons the whole
     // epoch: parameters and moments roll back to the last finite epoch
     // boundary, undoing the batches that already stepped.
-    bool recovered = false;
-    for (size_t start = 0; start < train_order.size(); start += batch_size) {
+    for (size_t start = 0;
+         start < train_order.size() && !epoch->recovered();
+         start += batch_size) {
       std::vector<const graph::Graph*> members;
       for (size_t i = start;
            i < std::min(start + batch_size, train_order.size()); ++i) {
@@ -98,85 +69,42 @@ util::Result<GraphTaskResult> TrainGraphClassifier(
       }
       ADAMGNN_ASSIGN_OR_RETURN(graph::GraphBatch batch,
                                graph::MakeBatch(members));
-      phase_watch.Restart();
-      GraphModel::Out out = model->Forward(batch, /*training=*/true, &rng);
-      std::vector<size_t> all_rows(batch.num_graphs());
-      for (size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
-      autograd::Variable loss = autograd::SoftmaxCrossEntropy(
-          out.logits, batch.graph_labels, all_rows);
-      if (out.aux_loss.defined()) loss = autograd::Add(loss, out.aux_loss);
-      phases.forward_secs += phase_watch.ElapsedSeconds();
-
-      double loss_value = loss.value()(0, 0);
-      ADAMGNN_ASSIGN_OR_RETURN(recovered,
-                               resilience.GuardLoss(epoch, &loss_value));
-      last_loss = loss_value;
-      if (recovered) break;
-      phase_watch.Restart();
-      autograd::Backward(loss);
-      const double grad_norm =
-          nn::ClipGradNorm(optimizer.params(), config.clip_norm);
-      phases.backward_secs += phase_watch.ElapsedSeconds();
-      last_grad_norm = grad_norm;
-      ADAMGNN_ASSIGN_OR_RETURN(recovered,
-                               resilience.GuardGradNorm(epoch, grad_norm));
-      if (recovered) break;
-      phase_watch.Restart();
-      optimizer.Step();
-      phases.optimizer_secs += phase_watch.ElapsedSeconds();
+      ADAMGNN_RETURN_NOT_OK(epoch->Update([&] {
+        GraphModel::Out out =
+            model->Forward(batch, /*training=*/true, epoch->rng());
+        std::vector<size_t> all_rows(batch.num_graphs());
+        for (size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
+        autograd::Variable loss = autograd::SoftmaxCrossEntropy(
+            out.logits, batch.graph_labels, all_rows);
+        if (out.aux_loss.defined()) loss = autograd::Add(loss, out.aux_loss);
+        return loss;
+      }));
     }
-    const double epoch_secs = watch.ElapsedSeconds();
-    st.total_epoch_seconds += epoch_secs;
-    result.epochs_run = epoch + 1;
-    if (recovered) {
-      epoch_span.Note("recovered", 1.0);
-      RecordEpochMetrics(epoch_secs, last_loss, last_grad_norm, phases,
-                         &workspace);
-      continue;
-    }
-
-    phase_watch.Restart();
+    return util::Status::OK();
+  };
+  task.evaluate = [&](Epoch* epoch) -> util::Status {
     ADAMGNN_ASSIGN_OR_RETURN(
         double val_acc,
-        EvalAccuracy(model, dataset, split.val, batch_size, &rng));
-    if (config.verbose) {
-      ADAMGNN_LOG(Info) << "epoch " << epoch << " val " << val_acc;
-    }
-    if (val_acc > st.best_val) {
-      st.best_val = val_acc;
-      st.best_epoch = epoch;
-      st.best_val_metric = val_acc;
+        EvalAccuracy(model, dataset, split.val, batch_size, epoch->rng()));
+    if (epoch->Validate(val_acc)) {
       ADAMGNN_ASSIGN_OR_RETURN(
-          st.best_train_metric,
-          EvalAccuracy(model, dataset, split.train, batch_size, &rng));
+          double train_acc,
+          EvalAccuracy(model, dataset, split.train, batch_size, epoch->rng()));
       ADAMGNN_ASSIGN_OR_RETURN(
-          st.best_test_metric,
-          EvalAccuracy(model, dataset, split.test, batch_size, &rng));
-      st.stale_epochs = 0;
-    } else {
-      ++st.stale_epochs;
+          double test_acc,
+          EvalAccuracy(model, dataset, split.test, batch_size, epoch->rng()));
+      epoch->RecordBest(train_acc, test_acc);
     }
-    phases.eval_secs = phase_watch.ElapsedSeconds();
-    epoch_span.Note("loss", last_loss);
-    epoch_span.Note("grad_norm", last_grad_norm);
-    epoch_span.Note("val_metric", val_acc);
-    RecordEpochMetrics(epoch_secs, last_loss, last_grad_norm, phases,
-                       &workspace);
-    ADAMGNN_RETURN_NOT_OK(resilience.CompleteEpoch(epoch));
-    if (st.stale_epochs >= config.patience) break;
-  }
-  ADAMGNN_RETURN_NOT_OK(resilience.Finalize(result.epochs_run));
+    return util::Status::OK();
+  };
 
-  result.best_epoch = static_cast<int>(st.best_epoch);
-  result.val_accuracy = st.best_val_metric;
-  result.train_accuracy = st.best_train_metric;
-  result.test_accuracy = st.best_test_metric;
-  result.resumed_from_epoch = resilience.resumed_from_epoch();
-  result.recovery_events = resilience.recovery_events();
-  result.avg_epoch_seconds =
-      result.epochs_run > 0
-          ? st.total_epoch_seconds / static_cast<double>(result.epochs_run)
-          : 0.0;
+  GraphTaskResult result;
+  ADAMGNN_ASSIGN_OR_RETURN(
+      BestMetrics best,
+      RunTrainingLoop(model->Parameters(), config, task, &result));
+  result.train_accuracy = best.train;
+  result.val_accuracy = best.val;
+  result.test_accuracy = best.test;
   return result;
 }
 

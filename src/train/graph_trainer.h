@@ -1,31 +1,23 @@
-// Graph-classification training loop: mini-batches of graphs merged into
+// Graph-classification training: mini-batches of graphs merged into
 // block-diagonal batches (80/10/10 split over graphs, as in the paper).
 
 #ifndef ADAMGNN_TRAIN_GRAPH_TRAINER_H_
 #define ADAMGNN_TRAIN_GRAPH_TRAINER_H_
 
-#include <vector>
+#include <cstddef>
 
 #include "data/graph_datasets.h"
 #include "data/splits.h"
-#include "nn/serialize.h"
 #include "train/interfaces.h"
-#include "train/node_trainer.h"
+#include "train/loop.h"
 #include "util/status.h"
 
 namespace adamgnn::train {
 
-struct GraphTaskResult {
+struct GraphTaskResult : TaskResult {
   double train_accuracy = 0;
   double val_accuracy = 0;
   double test_accuracy = 0;
-  int best_epoch = 0;
-  int epochs_run = 0;
-  double avg_epoch_seconds = 0;
-  /// Absolute epoch the run resumed from, or -1 on a cold start.
-  int resumed_from_epoch = -1;
-  /// Divergence rollbacks performed during (or before, if resumed) the run.
-  std::vector<nn::RecoveryEvent> recovery_events;
 };
 
 /// Trains `model` on dataset.graphs indexed by `split`.

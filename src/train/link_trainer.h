@@ -1,31 +1,21 @@
-// Link-prediction training loop: embeddings are trained with BCE over
+// Link-prediction training: embeddings are trained with BCE over
 // training positives and sampled negatives (for AdamGNN this *is* L_R, so
 // L = L_R + γ L_KL as in the paper), evaluated with ROC-AUC.
 
 #ifndef ADAMGNN_TRAIN_LINK_TRAINER_H_
 #define ADAMGNN_TRAIN_LINK_TRAINER_H_
 
-#include <vector>
-
 #include "data/splits.h"
-#include "nn/serialize.h"
 #include "train/interfaces.h"
-#include "train/node_trainer.h"
+#include "train/loop.h"
 #include "util/status.h"
 
 namespace adamgnn::train {
 
-struct LinkTaskResult {
+struct LinkTaskResult : TaskResult {
   double val_auc = 0;
   /// Test AUC at the best-validation epoch.
   double test_auc = 0;
-  int best_epoch = 0;
-  int epochs_run = 0;
-  double avg_epoch_seconds = 0;
-  /// Absolute epoch the run resumed from, or -1 on a cold start.
-  int resumed_from_epoch = -1;
-  /// Divergence rollbacks performed during (or before, if resumed) the run.
-  std::vector<nn::RecoveryEvent> recovery_events;
 };
 
 /// Trains on split.train_graph (val/test edges held out of message passing).

@@ -2,14 +2,7 @@
 
 #include "autograd/loss_ops.h"
 #include "autograd/ops.h"
-#include "nn/optimizer.h"
-#include "obs/trace.h"
-#include "tensor/workspace.h"
 #include "train/metrics.h"
-#include "train/resilience.h"
-#include "train/telemetry.h"
-#include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace adamgnn::train {
 
@@ -27,107 +20,34 @@ util::Result<NodeTaskResult> TrainNodeClassifier(
     return util::Status::InvalidArgument("empty split");
   }
 
-  // Epochs churn through thousands of same-shaped matrices; the arena hands
-  // each epoch the previous epoch's storage back. Declared before the
-  // optimizer so the optimizer's buffers drain into it on scope exit.
-  tensor::Workspace workspace;
-  tensor::Workspace::Bind workspace_bind(&workspace);
-
-  util::Rng rng(config.seed);
-  nn::Adam optimizer(model->Parameters(), config.learning_rate, 0.9, 0.999,
-                     1e-8, config.weight_decay);
-  TrainingResilience resilience(config, &optimizer, &rng);
-  ADAMGNN_ASSIGN_OR_RETURN(int start_epoch, resilience.Initialize());
-  nn::TrainingState& st = resilience.state();
+  EpochTask task;
+  task.train = [&](Epoch* epoch) {
+    return epoch->Update([&] {
+      NodeModel::Out out = model->Forward(g, /*training=*/true, epoch->rng());
+      autograd::Variable loss =
+          autograd::SoftmaxCrossEntropy(out.logits, g.labels(), split.train);
+      if (out.aux_loss.defined()) loss = autograd::Add(loss, out.aux_loss);
+      return loss;
+    });
+  };
+  task.evaluate = [&](Epoch* epoch) {
+    // Evaluation pass without dropout, tape-free where the model supports it.
+    NodeModel::Out eval = model->Evaluate(g, epoch->rng());
+    const tensor::Matrix& logits = eval.logits.value();
+    if (epoch->Validate(Accuracy(logits, g.labels(), split.val))) {
+      epoch->RecordBest(Accuracy(logits, g.labels(), split.train),
+                        Accuracy(logits, g.labels(), split.test));
+    }
+    return util::Status::OK();
+  };
 
   NodeTaskResult result;
-  result.epochs_run = start_epoch;
-
-  for (int epoch = start_epoch; epoch < config.max_epochs; ++epoch) {
-    util::Stopwatch watch;
-    obs::TraceSpan epoch_span("train.epoch");
-    epoch_span.Note("epoch", static_cast<double>(epoch));
-    EpochPhases phases;
-    util::Stopwatch phase_watch;
-    NodeModel::Out out = model->Forward(g, /*training=*/true, &rng);
-    autograd::Variable loss =
-        autograd::SoftmaxCrossEntropy(out.logits, g.labels(), split.train);
-    if (out.aux_loss.defined()) loss = autograd::Add(loss, out.aux_loss);
-    phases.forward_secs = phase_watch.ElapsedSeconds();
-
-    double loss_value = loss.value()(0, 0);
-    double grad_norm = 0.0;
-    ADAMGNN_ASSIGN_OR_RETURN(bool recovered,
-                             resilience.GuardLoss(epoch, &loss_value));
-    if (!recovered) {
-      phase_watch.Restart();
-      autograd::Backward(loss);
-      grad_norm = nn::ClipGradNorm(optimizer.params(), config.clip_norm);
-      phases.backward_secs = phase_watch.ElapsedSeconds();
-      ADAMGNN_ASSIGN_OR_RETURN(recovered,
-                               resilience.GuardGradNorm(epoch, grad_norm));
-    }
-    if (recovered) {
-      const double epoch_secs = watch.ElapsedSeconds();
-      st.total_epoch_seconds += epoch_secs;
-      result.epoch_losses.push_back(loss_value);
-      result.epoch_seconds.push_back(epoch_secs);
-      result.epochs_run = epoch + 1;
-      epoch_span.Note("recovered", 1.0);
-      RecordEpochMetrics(epoch_secs, loss_value, grad_norm, phases,
-                         &workspace);
-      continue;  // parameters were rolled back; nothing new to evaluate
-    }
-    phase_watch.Restart();
-    optimizer.Step();
-    phases.optimizer_secs = phase_watch.ElapsedSeconds();
-    const double epoch_secs = watch.ElapsedSeconds();
-    st.total_epoch_seconds += epoch_secs;
-    result.epoch_losses.push_back(loss_value);
-    result.epoch_seconds.push_back(epoch_secs);
-    result.epochs_run = epoch + 1;
-
-    // Evaluation pass without dropout, tape-free where the model supports it.
-    phase_watch.Restart();
-    NodeModel::Out eval = model->Evaluate(g, &rng);
-    const double val_acc = Accuracy(eval.logits.value(), g.labels(),
-                                    split.val);
-    if (config.verbose) {
-      ADAMGNN_LOG(Info) << "epoch " << epoch << " loss " << loss_value
-                        << " val " << val_acc;
-    }
-    if (val_acc > st.best_val) {
-      st.best_val = val_acc;
-      st.best_epoch = epoch;
-      st.best_val_metric = val_acc;
-      st.best_train_metric =
-          Accuracy(eval.logits.value(), g.labels(), split.train);
-      st.best_test_metric =
-          Accuracy(eval.logits.value(), g.labels(), split.test);
-      st.stale_epochs = 0;
-    } else {
-      ++st.stale_epochs;
-    }
-    phases.eval_secs = phase_watch.ElapsedSeconds();
-    epoch_span.Note("loss", loss_value);
-    epoch_span.Note("grad_norm", grad_norm);
-    epoch_span.Note("val_metric", val_acc);
-    RecordEpochMetrics(epoch_secs, loss_value, grad_norm, phases, &workspace);
-    ADAMGNN_RETURN_NOT_OK(resilience.CompleteEpoch(epoch));
-    if (st.stale_epochs >= config.patience) break;
-  }
-  ADAMGNN_RETURN_NOT_OK(resilience.Finalize(result.epochs_run));
-
-  result.best_epoch = static_cast<int>(st.best_epoch);
-  result.val_accuracy = st.best_val_metric;
-  result.train_accuracy = st.best_train_metric;
-  result.test_accuracy = st.best_test_metric;
-  result.resumed_from_epoch = resilience.resumed_from_epoch();
-  result.recovery_events = resilience.recovery_events();
-  result.avg_epoch_seconds =
-      result.epochs_run > 0
-          ? st.total_epoch_seconds / static_cast<double>(result.epochs_run)
-          : 0.0;
+  ADAMGNN_ASSIGN_OR_RETURN(
+      BestMetrics best,
+      RunTrainingLoop(model->Parameters(), config, task, &result));
+  result.train_accuracy = best.train;
+  result.val_accuracy = best.val;
+  result.test_accuracy = best.test;
   return result;
 }
 

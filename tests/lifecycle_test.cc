@@ -171,6 +171,53 @@ TEST(LifecycleTest, WatchdogSweepCancelsOverBoundRequest) {
   EXPECT_EQ(token.Check().code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(LifecycleTest, TokenBoundAfterWatchdogFlagIsCancelled) {
+  LifecycleOptions options;
+  options.watchdog_factor = 1.0;
+  ServerLifecycle lifecycle(options);
+  lifecycle.MarkReady();
+
+  // The sweep flags the request in the gap between Track and the first
+  // bind: the token bound next, and every retry's token, must still fire.
+  InflightGuard guard = lifecycle.Track(1e-9);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(lifecycle.SweepNow(), 0u);  // flagged, but no token to fire yet
+  CancelToken first = CancelToken::Cancellable();
+  guard.BindToken(first);
+  EXPECT_EQ(first.Check().code(), StatusCode::kDeadlineExceeded);
+  CancelToken retry = CancelToken::Cancellable();
+  guard.BindToken(retry);
+  EXPECT_EQ(retry.Check().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(LifecycleTest, TokenBoundAfterDrainCancelIsCancelled) {
+  LifecycleOptions options;
+  options.drain_timeout_s = 0.0;
+  ServerLifecycle lifecycle(options);
+  lifecycle.MarkReady();
+
+  std::atomic<bool> drained{false};
+  CancelToken retry = CancelToken::Cancellable();
+  InflightGuard guard = lifecycle.Track(0.0);
+  std::thread drainer([&] {
+    lifecycle.BeginDrain();
+    EXPECT_FALSE(lifecycle.WaitForDrain());
+    drained = true;
+  });
+  // WaitForDrain cancels the straggler at once (no token bound yet), then
+  // blocks until it retires; a retry bound meanwhile must fire too.
+  while (lifecycle.state() != LifecycleState::kDraining) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  guard.BindToken(retry);
+  EXPECT_EQ(retry.Check().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(drained.load());
+  guard = InflightGuard();
+  drainer.join();
+  EXPECT_TRUE(drained.load());
+}
+
 TEST(LifecycleTest, WatchdogLeavesDeadlinelessRequestsAlone) {
   ServerLifecycle lifecycle;  // watchdog_default_timeout_s = 0: unbounded
   lifecycle.MarkReady();

@@ -415,8 +415,6 @@ TEST(ResilientServerTest, BreakerShedDegradesToShallowPlan) {
   options.max_retries = 0;
   options.breaker.failure_threshold = 1;
   options.breaker.open_cooldown = 1000000;  // stay open for the whole test
-  options.degraded_lambda = 1;
-  options.degraded_max_levels = 1;
   ResilientServer server(model, options);
 
   {

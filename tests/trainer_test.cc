@@ -1,16 +1,25 @@
-// Behavioral tests of the training loops themselves: early stopping,
-// best-epoch bookkeeping, and timing fields — independent of model quality.
+// Behavioral tests of the training loop itself: early stopping, best-epoch
+// bookkeeping, timing fields and thread-count determinism — independent of
+// model quality.
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "core/adapters.h"
+#include "data/graph_datasets.h"
 #include "data/node_datasets.h"
 #include "data/splits.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "pool/flat_models.h"
 #include "test_util.h"
+#include "train/graph_trainer.h"
 #include "train/link_trainer.h"
 #include "train/node_trainer.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace adamgnn::train {
 namespace {
@@ -151,6 +160,106 @@ TEST(NodeTrainerTest, TrainingImprovesOverFrozenBaseline) {
       TrainNodeClassifier(&frozen, f.dataset.graph, f.split, frozen_tc)
           .ValueOrDie();
   EXPECT_GT(trained_r.test_accuracy, frozen_r.test_accuracy);
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& xs) {
+  std::vector<uint64_t> out;
+  for (double x : xs) out.push_back(std::bit_cast<uint64_t>(x));
+  return out;
+}
+
+uint64_t PoolJobs() {
+  for (const auto& [name, value] : obs::MetricsRegistry::Global().Collect()
+                                       .counters) {
+    if (name == "pool.jobs") return value;
+  }
+  return 0;
+}
+
+// The link and graph tasks run AdamGNN through the same loop as the node
+// task, so their loss trajectories and best metrics must not depend on the
+// kernel thread count either. The inputs are just large enough for the
+// 4-thread runs to fan kernels out to the pool.
+TEST(TrainingLoopTest, LinkAndGraphTrajectoriesAreBitwiseAcrossThreadCounts) {
+  const data::NodeDataset nodes =
+      data::MakeNodeDataset(data::NodeDatasetId::kCora, 5, 0.3).ValueOrDie();
+  util::Rng link_rng(1);
+  const data::LinkSplit link_split =
+      data::MakeLinkSplit(nodes.graph, 0.1, 0.1, &link_rng).ValueOrDie();
+  const data::GraphDataset graphs =
+      data::MakeGraphDataset(data::GraphDatasetId::kMutag, 3, 0.3)
+          .ValueOrDie();
+  util::Rng split_rng(1);
+  const data::IndexSplit graph_split =
+      data::SplitIndices(graphs.graphs.size(), 0.8, 0.1, &split_rng)
+          .ValueOrDie();
+  TrainConfig tc;
+  tc.max_epochs = 4;
+  tc.patience = 1000;
+  tc.seed = 9;
+
+  auto train_link = [&] {
+    core::AdamGnnConfig c;
+    c.in_dim = nodes.graph.feature_dim();
+    c.hidden_dim = 32;
+    c.num_levels = 2;
+    util::Rng rng(9);
+    core::AdamGnnEmbeddingModel model(c, &rng);
+    return TrainLinkPredictor(&model, link_split, tc).ValueOrDie();
+  };
+  auto train_graph = [&] {
+    core::AdamGnnConfig c;
+    c.in_dim = graphs.feature_dim;
+    c.hidden_dim = 32;
+    c.num_levels = 2;
+    util::Rng rng(9);
+    core::AdamGnnGraphModel model(c, graphs.num_classes, &rng);
+    return TrainGraphClassifier(&model, graphs, graph_split, tc,
+                                /*batch_size=*/64)
+        .ValueOrDie();
+  };
+
+  util::SetNumThreads(1);
+  const LinkTaskResult link1 = train_link();
+  const GraphTaskResult graph1 = train_graph();
+  util::SetNumThreads(4);
+  const uint64_t jobs_before = PoolJobs();
+  const LinkTaskResult link4 = train_link();
+  const GraphTaskResult graph4 = train_graph();
+  const uint64_t jobs_after = PoolJobs();
+  util::SetNumThreads(0);
+  if (obs::Enabled() && util::EffectiveParallelism() > 1) {
+    EXPECT_GT(jobs_after, jobs_before) << "the 4-thread runs never fanned out";
+  }
+
+  ASSERT_EQ(link1.epochs_run, 4);
+  ASSERT_EQ(graph1.epochs_run, 4);
+  EXPECT_EQ(Bits(link1.epoch_losses), Bits(link4.epoch_losses));
+  EXPECT_EQ(Bits({link1.val_auc, link1.test_auc}),
+            Bits({link4.val_auc, link4.test_auc}));
+  EXPECT_EQ(link1.best_epoch, link4.best_epoch);
+  EXPECT_EQ(Bits(graph1.epoch_losses), Bits(graph4.epoch_losses));
+  EXPECT_EQ(Bits({graph1.train_accuracy, graph1.val_accuracy,
+                  graph1.test_accuracy}),
+            Bits({graph4.train_accuracy, graph4.val_accuracy,
+                  graph4.test_accuracy}));
+  EXPECT_EQ(graph1.best_epoch, graph4.best_epoch);
+
+  // On a cold start every executed epoch records one loss and one time.
+  Fixture f;
+  util::Rng rng(9);
+  pool::FlatNodeModel node_model(f.ModelConfig(), &rng);
+  TrainConfig stopping = tc;
+  stopping.patience = 1;
+  const NodeTaskResult node =
+      TrainNodeClassifier(&node_model, f.dataset.graph, f.split, stopping)
+          .ValueOrDie();
+  for (const TaskResult* r :
+       std::vector<const TaskResult*>{&node, &link1, &graph1}) {
+    EXPECT_EQ(r->resumed_from_epoch, -1);
+    EXPECT_EQ(r->epoch_losses.size(), static_cast<size_t>(r->epochs_run));
+    EXPECT_EQ(r->epoch_seconds.size(), static_cast<size_t>(r->epochs_run));
+  }
 }
 
 }  // namespace

@@ -93,12 +93,11 @@ const std::vector<cli::FlagSpec>& Specs() {
 }
 
 // Prints resume provenance and any divergence recoveries for a finished run.
-void ReportResilience(int resumed_from_epoch,
-                      const std::vector<nn::RecoveryEvent>& events) {
-  if (resumed_from_epoch >= 0) {
-    std::printf("resumed from epoch %d\n", resumed_from_epoch);
+void ReportResilience(const train::TaskResult& result) {
+  if (result.resumed_from_epoch >= 0) {
+    std::printf("resumed from epoch %d\n", result.resumed_from_epoch);
   }
-  for (const nn::RecoveryEvent& e : events) {
+  for (const nn::RecoveryEvent& e : result.recovery_events) {
     std::printf("recovery: epoch %lld %s, rolled back, lr %.6g -> %.6g\n",
                 static_cast<long long>(e.epoch),
                 nn::RecoveryKindToString(e.kind), e.lr_before, e.lr_after);
@@ -125,7 +124,7 @@ int RunNodeClassification(const graph::Graph& g,
     return 1;
   }
   train::NodeTaskResult result = std::move(train_result).ValueOrDie();
-  ReportResilience(result.resumed_from_epoch, result.recovery_events);
+  ReportResilience(result);
   std::printf("val accuracy  %.4f\ntest accuracy %.4f (epoch %d of %d)\n",
               result.val_accuracy, result.test_accuracy, result.best_epoch,
               result.epochs_run);
@@ -180,7 +179,7 @@ int RunLinkPrediction(const graph::Graph& g,
     return 1;
   }
   train::LinkTaskResult result = std::move(train_result).ValueOrDie();
-  ReportResilience(result.resumed_from_epoch, result.recovery_events);
+  ReportResilience(result);
   std::printf("val ROC-AUC  %.4f\ntest ROC-AUC %.4f (epoch %d of %d)\n",
               result.val_auc, result.test_auc, result.best_epoch,
               result.epochs_run);
