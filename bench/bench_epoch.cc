@@ -19,6 +19,11 @@
 // are per-epoch minima across the metrics-on rounds — an estimate of the
 // true cost that filters scheduler noise on shared machines.
 //
+// Structural sizes: `levels` records, for each level k built by the last
+// evaluation pass, the nodes of level k-1 it pools and the λ-hop pairs
+// scored on them, the hyper-nodes formed and nnz(A_k) — the sizes that
+// drive the pair and SpGEMM costs.
+//
 // Flags:
 //   --json=PATH   output path (default BENCH_epoch.json)
 //   --smoke       tiny workload + 3 epochs, for tools/check.sh
@@ -118,6 +123,7 @@ graph::Graph BuildWorkload(const EpochBenchConfig& cfg) {
 struct RunResult {
   std::vector<double> losses;
   std::vector<double> epoch_seconds;
+  std::vector<core::LevelInfo> levels;  // of the last forward
 };
 
 /// Mean wall time of the epochs after the first, in ms (epoch 0 pays the
@@ -188,6 +194,7 @@ RunResult RunOnce(const graph::Graph& g, const data::IndexSplit& split,
   RunResult out;
   out.losses = r.epoch_losses;
   out.epoch_seconds = r.epoch_seconds;
+  out.levels = model.last_levels();
   return out;
 }
 
@@ -329,6 +336,18 @@ int Run(const EpochBenchConfig& cfg, const std::string& json_path,
                "its IQR (full-size runs)\",\n");
   std::fprintf(f, "    \"gate_ok\": %s\n  },\n", obs_gate_ok ? "true"
                                                              : "false");
+  std::fprintf(f, "  \"levels\": [");
+  const std::vector<core::LevelInfo>& levels = obs_rounds.front().levels;
+  for (size_t k = 0; k < levels.size(); ++k) {
+    std::fprintf(f,
+                 "%s\n    {\"level\": %zu, \"prev_nodes\": %zu, "
+                 "\"hyper_nodes\": %zu, \"pairs\": %zu, "
+                 "\"adjacency_nnz\": %zu}",
+                 k == 0 ? "" : ",", k + 1, levels[k].num_prev_nodes,
+                 levels[k].num_hyper_nodes, levels[k].num_pairs,
+                 levels[k].adjacency_nnz);
+  }
+  std::fprintf(f, "%s],\n", levels.empty() ? "" : "\n  ");
   std::fprintf(f, "  \"engine_alt_threads\": %d,\n", alt_threads);
   std::fprintf(f, "  \"loss_trajectory_bitwise_identical\": %s\n}\n",
                bitwise ? "true" : "false");

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels on AdamGNN's critical
 // path: dense GEMM, sparse SpMM, segment softmax, λ-hop ego-network
-// enumeration, and one full adaptive-pooling step.
+// enumeration, one full adaptive-pooling step, and the hyper-graph build
+// S_kᵀ Â S_k plus its GCN normalisation on its own.
 //
 // Before the google-benchmark suite runs, this binary times the parallel
 // kernel backend against naive single-threaded reference loops and writes
@@ -29,6 +30,8 @@
 #include "core/ego_selection.h"
 #include "core/fitness.h"
 #include "data/node_datasets.h"
+#include "data/sbm.h"
+#include "graph/builder.h"
 #include "tensor/isa.h"
 #include "tensor/kernels.h"
 #include "util/random.h"
@@ -123,6 +126,43 @@ void BM_AdaptivePoolingStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdaptivePoolingStep);
+
+void BM_NextAdjacency(benchmark::State& state) {
+  // The hyper-graph stage alone: A_1 = S_1ᵀ (A + I) S_1 and its GCN
+  // normalisation, for a fixed level-0 assignment on a 5k-node degree-16
+  // SBM (the perfbench train_sbm graph size).
+  const size_t n = 5000;
+  util::Rng rng(5);
+  data::SbmConfig sbm;
+  sbm.num_nodes = n;
+  sbm.num_classes = 4;
+  sbm.communities_per_class = static_cast<int>(n / (4 * 50));
+  sbm.target_edges = n * 16 / 2;
+  data::SbmSample sample = data::SampleSbm(sbm, &rng).ValueOrDie();
+  graph::GraphBuilder builder(n);
+  for (const auto& [u, v] : sample.edges) builder.AddEdge(u, v).CheckOK();
+  const graph::Graph g = std::move(builder).Build().ValueOrDie();
+  auto adj_lists = core::AdjacencyLists(g);
+  core::EgoPairs pairs = core::EgoPairs::Build(adj_lists, 1);
+  core::FitnessScorer scorer(32, &rng);
+  autograd::Variable h = autograd::Variable::Constant(
+      tensor::Matrix::Gaussian(n, 32, 1.0, &rng));
+  core::FitnessScorer::Scores scores = scorer.Score(pairs, h);
+  core::Selection sel =
+      core::SelectEgoNetworks(scores.ego_phi.value(), adj_lists, pairs);
+  core::Assignment asg = core::BuildAssignment(pairs, sel, scores);
+  const graph::SparseMatrix prev = graph::SparseMatrix::Adjacency(g);
+  size_t nnz = 0;
+  for (auto _ : state) {
+    graph::SparseMatrix next = core::NextAdjacency(prev, asg);
+    nnz = next.nnz();
+    benchmark::DoNotOptimize(next.Normalized());
+  }
+  state.counters["hyper_nodes"] =
+      static_cast<double>(sel.num_hyper_nodes());
+  state.counters["adjacency_nnz"] = static_cast<double>(nnz);
+}
+BENCHMARK(BM_NextAdjacency)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Serial-vs-parallel comparison pass.

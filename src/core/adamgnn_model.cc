@@ -145,6 +145,8 @@ util::Status AdamGnn::Cascade(const graph::SparseMatrix& adjacency,
     info.num_retained = sel.retained_nodes.size();
     info.num_covered = 0;
     for (bool c : sel.covered) info.num_covered += c ? 1 : 0;
+    info.num_pairs = pairs.num_pairs();
+    info.adjacency_nnz = next_adj.nnz();
     out->levels.push_back(info);
     if (k == 0) {
       out->level1_egos = sel.selected_egos;

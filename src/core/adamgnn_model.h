@@ -61,6 +61,10 @@ struct LevelInfo {
   size_t num_selected_egos = 0;
   size_t num_retained = 0;
   size_t num_covered = 0;
+  /// λ-hop (ego, member) pairs scored at this level.
+  size_t num_pairs = 0;
+  /// nnz of the unnormalised hyper-graph A_k = S_kᵀ Â_{k-1} S_k.
+  size_t adjacency_nnz = 0;
 };
 
 class AdamGnn : public nn::Module {

@@ -73,19 +73,7 @@ graph::SparseMatrix NextAdjacency(const graph::SparseMatrix& prev_adjacency,
   graph::SparseMatrix s = assignment.pattern->WithValues(
       std::vector<double>(values.data(), values.data() + values.size()));
   // Â_{k-1} = A_{k-1} + I.
-  std::vector<graph::Triplet> hat;
-  hat.reserve(prev_adjacency.nnz() + prev_adjacency.rows());
-  for (size_t r = 0; r < prev_adjacency.rows(); ++r) {
-    for (size_t k = prev_adjacency.row_offsets()[r];
-         k < prev_adjacency.row_offsets()[r + 1]; ++k) {
-      hat.push_back({r, prev_adjacency.col_indices()[k],
-                     prev_adjacency.values()[k]});
-    }
-    hat.push_back({r, r, 1.0});
-  }
-  graph::SparseMatrix a_hat = graph::SparseMatrix::FromTriplets(
-      prev_adjacency.rows(), prev_adjacency.cols(), std::move(hat));
-  return s.Transposed().Multiply(a_hat).Multiply(s);
+  return s.Transposed().Multiply(prev_adjacency.PlusIdentity()).Multiply(s);
 }
 
 std::vector<std::vector<size_t>> AdjacencyListsFromSparse(

@@ -59,37 +59,75 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
   return m;
 }
 
+SparseMatrix SparseMatrix::Empty(size_t rows, size_t cols, size_t nnz_hint) {
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_offsets_.reserve(rows + 1);
+  m.row_offsets_.push_back(0);
+  m.col_indices_.reserve(nnz_hint);
+  m.values_.reserve(nnz_hint);
+  return m;
+}
+
 SparseMatrix SparseMatrix::Identity(size_t n) {
-  std::vector<Triplet> t;
-  t.reserve(n);
-  for (size_t i = 0; i < n; ++i) t.push_back({i, i, 1.0});
-  return FromTriplets(n, n, std::move(t));
+  SparseMatrix m = Empty(n, n, n);
+  for (size_t i = 0; i < n; ++i) {
+    m.Push(i, 1.0);
+    m.EndRow();
+  }
+  return m;
 }
 
 SparseMatrix SparseMatrix::Adjacency(const Graph& g) {
-  std::vector<Triplet> t;
-  t.reserve(g.num_edges() * 2);
-  for (NodeId u = 0; static_cast<size_t>(u) < g.num_nodes(); ++u) {
+  // g's CSR rows are sorted by neighbor id, with no parallel edges.
+  const size_t n = g.num_nodes();
+  SparseMatrix m = Empty(n, n, g.num_edges() * 2);
+  for (NodeId u = 0; static_cast<size_t>(u) < n; ++u) {
     auto nbrs = g.Neighbors(u);
     auto ws = g.NeighborWeights(u);
     for (size_t i = 0; i < nbrs.size(); ++i) {
-      t.push_back({static_cast<size_t>(u), static_cast<size_t>(nbrs[i]),
-                   ws[i]});
+      ADAMGNN_DCHECK(i == 0 || nbrs[i - 1] < nbrs[i]);
+      m.Push(static_cast<size_t>(nbrs[i]), ws[i]);
     }
+    m.EndRow();
   }
-  return FromTriplets(g.num_nodes(), g.num_nodes(), std::move(t));
+  return m;
 }
 
 SparseMatrix SparseMatrix::NormalizedAdjacency(const Graph& g) {
   return Adjacency(g).Normalized();
 }
 
+SparseMatrix SparseMatrix::PlusIdentity() const {
+  ADAMGNN_CHECK_EQ(rows_, cols_);
+  SparseMatrix m = Empty(rows_, cols_, nnz() + rows_);
+  for (size_t r = 0; r < rows_; ++r) {
+    bool diag_written = false;
+    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
+      const size_t c = col_indices_[k];
+      if (!diag_written && c >= r) {
+        diag_written = true;
+        if (c == r) {
+          m.Push(r, values_[k] + 1.0);
+          continue;
+        }
+        m.Push(r, 1.0);
+      }
+      m.Push(c, values_[k]);
+    }
+    if (!diag_written) m.Push(r, 1.0);
+    m.EndRow();
+  }
+  return m;
+}
+
 SparseMatrix SparseMatrix::Normalized() const {
   ADAMGNN_CHECK_EQ(rows_, cols_);
   const size_t n = rows_;
-  // Â = A + I; D̂_ii = sum_j Â_ij; return D̂^{-1/2} Â D̂^{-1/2}.
-  std::vector<Triplet> hat;
-  hat.reserve(nnz() + n);
+  // Â = A + I; D̂_ii = sum_j Â_ij; return D̂^{-1/2} Â D̂^{-1/2}. The degree
+  // sums row i in CSR order with the identity's 1 folded into a stored
+  // diagonal, or added last when the row stores none.
   std::vector<double> degree(n, 0.0);
   for (size_t r = 0; r < n; ++r) {
     bool has_diag = false;
@@ -97,24 +135,35 @@ SparseMatrix SparseMatrix::Normalized() const {
       ADAMGNN_CHECK_GE(values_[k], 0.0);
       double v = values_[k];
       if (col_indices_[k] == r) {
-        v += 1.0;  // merge the added identity into an existing diagonal
+        v += 1.0;
         has_diag = true;
       }
-      hat.push_back({r, col_indices_[k], v});
       degree[r] += v;
     }
-    if (!has_diag) {
-      hat.push_back({r, r, 1.0});
-      degree[r] += 1.0;
+    if (!has_diag) degree[r] += 1.0;
+  }
+  std::vector<double> sqrt_degree(n);
+  for (size_t i = 0; i < n; ++i) sqrt_degree[i] = std::sqrt(degree[i]);
+  // Scale Â in place, compacting away any value that underflows to 0.
+  SparseMatrix hat = PlusIdentity();
+  size_t out = 0;
+  size_t begin = 0;
+  for (size_t r = 0; r < n; ++r) {
+    const size_t end = hat.row_offsets_[r + 1];
+    for (size_t k = begin; k < end; ++k) {
+      const size_t c = hat.col_indices_[k];
+      // degree >= 1 always because of the added self-loop.
+      const double v = hat.values_[k] / (sqrt_degree[r] * sqrt_degree[c]);
+      if (v == 0.0) continue;
+      hat.col_indices_[out] = c;
+      hat.values_[out++] = v;
     }
+    begin = end;
+    hat.row_offsets_[r + 1] = out;
   }
-  for (Triplet& t : hat) {
-    double dr = degree[t.row];
-    double dc = degree[t.col];
-    // degree >= 1 always because of the added self-loop.
-    t.value /= std::sqrt(dr) * std::sqrt(dc);
-  }
-  return FromTriplets(n, n, std::move(hat));
+  hat.col_indices_.resize(out);
+  hat.values_.resize(out);
+  return hat;
 }
 
 double SparseMatrix::At(size_t r, size_t c) const {
@@ -159,26 +208,11 @@ SparseMatrix::EnsureTransposeView() const {
   const std::shared_ptr<TransposeCache> cache = tcache_;
   std::lock_guard<std::mutex> lock(cache->mu);
   if (cache->view != nullptr) return cache->view;
-  // Counting sort into transposed-CSR. Walking the CSR rows in ascending
-  // order lands every view row's entries in ascending original-row order —
-  // exactly the order the serial scatter kernel sums them in.
+  // Every view row lands in ascending source-row order: exactly the order
+  // the serial scatter kernel sums them in.
   auto view = std::make_shared<TransposeView>();
-  view->row_offsets.assign(cols_ + 1, 0);
-  for (size_t c : col_indices_) ++view->row_offsets[c + 1];
-  for (size_t i = 1; i <= cols_; ++i) {
-    view->row_offsets[i] += view->row_offsets[i - 1];
-  }
-  view->col_indices.resize(nnz());
-  view->values.resize(nnz());
-  std::vector<size_t> cursor(view->row_offsets.begin(),
-                             view->row_offsets.end() - 1);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const size_t pos = cursor[col_indices_[k]]++;
-      view->col_indices[pos] = r;
-      view->values[pos] = values_[k];
-    }
-  }
+  TransposeInto(/*drop_zeros=*/false, &view->row_offsets, &view->col_indices,
+                &view->values);
   cache->view = std::move(view);
   return cache->view;
 }
@@ -231,11 +265,39 @@ tensor::Matrix SparseMatrix::TransposeMultiplyDense(
   return out;
 }
 
+void SparseMatrix::TransposeInto(bool drop_zeros,
+                                 std::vector<size_t>* row_offsets,
+                                 std::vector<size_t>* col_indices,
+                                 std::vector<double>* values) const {
+  row_offsets->assign(cols_ + 1, 0);
+  for (size_t k = 0; k < nnz(); ++k) {
+    if (drop_zeros && values_[k] == 0.0) continue;
+    ++(*row_offsets)[col_indices_[k] + 1];
+  }
+  for (size_t i = 1; i <= cols_; ++i) {
+    (*row_offsets)[i] += (*row_offsets)[i - 1];
+  }
+  col_indices->resize(row_offsets->back());
+  values->resize(row_offsets->back());
+  std::vector<size_t> cursor(row_offsets->begin(), row_offsets->end() - 1);
+  for (size_t r = 0; r < rows_; ++r) {
+    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
+      if (drop_zeros && values_[k] == 0.0) continue;
+      const size_t pos = cursor[col_indices_[k]]++;
+      (*col_indices)[pos] = r;
+      (*values)[pos] = values_[k];
+    }
+  }
+}
+
 SparseMatrix SparseMatrix::Multiply(const SparseMatrix& other) const {
   ADAMGNN_CHECK_EQ(cols_, other.rows_);
   // Gustavson row-by-row SpGEMM with a dense accumulator over other.cols().
-  std::vector<Triplet> t;
+  // `seen[c] == r` marks column c as touched in row r, so a column whose
+  // partial sum cancels to exactly 0 and is touched again is listed once.
+  SparseMatrix m = Empty(rows_, other.cols_);
   std::vector<double> acc(other.cols_, 0.0);
+  std::vector<size_t> seen(other.cols_, SIZE_MAX);
   std::vector<size_t> touched;
   for (size_t r = 0; r < rows_; ++r) {
     touched.clear();
@@ -245,27 +307,39 @@ SparseMatrix SparseMatrix::Multiply(const SparseMatrix& other) const {
       for (size_t k2 = other.row_offsets_[mid];
            k2 < other.row_offsets_[mid + 1]; ++k2) {
         const size_t c = other.col_indices_[k2];
-        if (acc[c] == 0.0) touched.push_back(c);
+        if (seen[c] != r) {
+          seen[c] = r;
+          touched.push_back(c);
+        }
         acc[c] += v * other.values_[k2];
       }
     }
+    // Columns go out in ascending order. Sorting a row that touches more
+    // than 1/16 of the columns costs more than scanning the markers.
+    if (touched.size() * 16 > other.cols_) {
+      touched.clear();
+      for (size_t c = 0; c < other.cols_; ++c) {
+        if (seen[c] == r) touched.push_back(c);
+      }
+    } else {
+      std::sort(touched.begin(), touched.end());
+    }
     for (size_t c : touched) {
-      if (acc[c] != 0.0) t.push_back({r, c, acc[c]});
+      m.Push(c, acc[c]);
       acc[c] = 0.0;
     }
+    m.EndRow();
   }
-  return FromTriplets(rows_, other.cols_, std::move(t));
+  return m;
 }
 
 SparseMatrix SparseMatrix::Transposed() const {
-  std::vector<Triplet> t;
-  t.reserve(nnz());
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      t.push_back({col_indices_[k], r, values_[k]});
-    }
-  }
-  return FromTriplets(cols_, rows_, std::move(t));
+  SparseMatrix m;
+  m.rows_ = cols_;
+  m.cols_ = rows_;
+  TransposeInto(/*drop_zeros=*/true, &m.row_offsets_, &m.col_indices_,
+                &m.values_);
+  return m;
 }
 
 SparseMatrix SparseMatrix::RowNormalized() const {

@@ -34,20 +34,29 @@ struct Triplet {
 };
 
 /// Immutable sparse rows x cols matrix, CSR, column-sorted within each row,
-/// duplicate triplets coalesced by summation.
+/// no duplicate columns in a row.
+///
+/// Every builder below except FromTriplets writes the CSR arrays directly,
+/// row by row, and drops exact zeros. Because no row holds a column twice,
+/// FromTriplets would only reorder such entries, so each builder is
+/// bitwise-equal to collecting the same values as triplets and calling
+/// FromTriplets (the tests keep those triplet builds as references).
 class SparseMatrix {
  public:
   SparseMatrix() = default;
 
-  /// Builds from (row, col, value) triplets; duplicates are summed, exact
-  /// zeros after coalescing are dropped. Out-of-range indices abort.
+  /// Builds from (row, col, value) triplets in any order: sorts them,
+  /// sums duplicates and drops exact zeros after coalescing. Out-of-range
+  /// indices abort. For unsorted input only: the sort dominates its cost,
+  /// so input that is already row-sorted CSR is built directly instead.
   static SparseMatrix FromTriplets(size_t rows, size_t cols,
                                    std::vector<Triplet> triplets);
 
   /// Identity of size n.
   static SparseMatrix Identity(size_t n);
 
-  /// Adjacency (with edge weights) of g as an n x n sparse matrix.
+  /// Adjacency (with edge weights) of g as an n x n sparse matrix; an edge
+  /// of weight exactly 0 is left out.
   static SparseMatrix Adjacency(const Graph& g);
 
   /// Symmetric GCN normalization D̂^{-1/2}(A+I)D̂^{-1/2} over g's weighted
@@ -56,7 +65,13 @@ class SparseMatrix {
 
   /// Symmetric GCN normalization of *this* matrix (adds identity, then
   /// normalizes by row sums). Requires square shape and non-negative values.
+  /// D̂_ii sums row i in CSR order, the +1 folded into a stored diagonal or,
+  /// when row i stores none, added last.
   SparseMatrix Normalized() const;
+
+  /// this + I for a square matrix: the 1 is added into a stored diagonal or
+  /// inserted at its sorted place in the row; exact zeros are dropped.
+  SparseMatrix PlusIdentity() const;
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -92,8 +107,13 @@ class SparseMatrix {
   /// True once the transposed view exists (for tests and diagnostics).
   bool transpose_view_built() const;
 
-  /// Sparse-sparse product this * other.
+  /// Sparse-sparse product this * other (Gustavson, dense row
+  /// accumulator). Output rows are column-sorted and hold no exact zeros;
+  /// entry (r, c) adds the products this(r, m) * other(m, c) in the CSR
+  /// order of row r's entries m, so the result is bitwise-equal to
+  /// collecting the row sums as triplets and calling FromTriplets.
   SparseMatrix Multiply(const SparseMatrix& other) const;
+  /// Counting-sort transpose; exact zeros are dropped.
   SparseMatrix Transposed() const;
 
   /// Scales each row to sum to 1 (rows with zero sum are left untouched).
@@ -123,6 +143,24 @@ class SparseMatrix {
   };
 
   std::shared_ptr<const TransposeView> EnsureTransposeView() const;
+  /// Counting-sort transpose of the CSR arrays into (cols_ x rows_) CSR
+  /// arrays: walking the rows in ascending order leaves every output row in
+  /// ascending source-row order. With drop_zeros, exact zeros are left out.
+  void TransposeInto(bool drop_zeros, std::vector<size_t>* row_offsets,
+                     std::vector<size_t>* col_indices,
+                     std::vector<double>* values) const;
+
+  /// Direct CSR writing: Empty() starts a rows x cols matrix with no rows
+  /// written and room for nnz_hint entries; Push() appends (col, value) to
+  /// the open row, skipping exact zeros, with columns in ascending order;
+  /// EndRow() closes the row.
+  static SparseMatrix Empty(size_t rows, size_t cols, size_t nnz_hint = 0);
+  void Push(size_t col, double value) {
+    if (value == 0.0) return;
+    col_indices_.push_back(col);
+    values_.push_back(value);
+  }
+  void EndRow() { row_offsets_.push_back(col_indices_.size()); }
   void ResetTransposeCache() { tcache_ = std::make_shared<TransposeCache>(); }
 
   size_t rows_ = 0;

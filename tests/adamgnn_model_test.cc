@@ -113,7 +113,12 @@ TEST(AdamGnnTest, LevelsCompressMonotonically) {
     EXPECT_LT(info.num_hyper_nodes, info.num_prev_nodes);
     EXPECT_EQ(info.num_hyper_nodes,
               info.num_selected_egos + info.num_retained);
+    EXPECT_GT(info.num_pairs, 0u);
+    // Every hyper-node keeps a positive self-weight on A_k's diagonal.
+    EXPECT_GE(info.adjacency_nnz, info.num_hyper_nodes);
   }
+  // Level 0 scores the plan's λ-hop pairs: 40 nodes on a ring, λ = 1.
+  EXPECT_EQ(out.levels[0].num_pairs, 80u);
   for (size_t k = 1; k < out.levels.size(); ++k) {
     EXPECT_EQ(out.levels[k].num_prev_nodes,
               out.levels[k - 1].num_hyper_nodes);

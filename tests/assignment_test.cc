@@ -15,6 +15,8 @@ namespace {
 
 using adamgnn::testing::CountNegative;
 using adamgnn::testing::ExpectGradientsMatch;
+using adamgnn::testing::ExpectSparseBitwiseEqual;
+using adamgnn::testing::TripletPlusIdentity;
 using adamgnn::testing::LeakyReluSegmentSoftmax;
 using adamgnn::testing::RingWithChords;
 using adamgnn::testing::TwoTriangles;
@@ -101,6 +103,48 @@ TEST(AssignmentTest, NextAdjacencySymmetricNonNegative) {
       EXPECT_NEAR(d(i, j), d(j, i), 1e-10);
       EXPECT_GE(d(i, j), 0.0);
     }
+  }
+}
+
+/// Pools one level over `adj` with a random assignment, checks NextAdjacency
+/// bitwise against Sᵀ·Â·S with Â built from triplets, and returns A_k.
+graph::SparseMatrix CheckNextAdjacencyLevel(
+    const graph::SparseMatrix& prev, const FitnessScorer& scorer,
+    util::Rng* rng) {
+  const std::vector<std::vector<size_t>> lists =
+      AdjacencyListsFromSparse(prev);
+  const EgoPairs pairs = EgoPairs::Build(lists, 1);
+  const Variable h =
+      Variable::Constant(Matrix::Gaussian(prev.rows(), 4, 1.0, rng));
+  const FitnessScorer::Scores scores = scorer.Score(pairs, h);
+  const Selection sel = SelectEgoNetworks(scores.ego_phi.value(), lists, pairs);
+  const Assignment asg = BuildAssignment(pairs, sel, scores);
+  const Matrix& values = asg.values.value();
+  const graph::SparseMatrix s = asg.pattern->WithValues(
+      std::vector<double>(values.data(), values.data() + values.size()));
+  const graph::SparseMatrix next = NextAdjacency(prev, asg);
+  ExpectSparseBitwiseEqual(
+      next, s.Transposed().Multiply(TripletPlusIdentity(prev)).Multiply(s));
+  return next;
+}
+
+TEST(AssignmentTest, NextAdjacencyMatchesTripletProductBitwise) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    util::Rng rng(seed);
+    FitnessScorer scorer(4, &rng);
+    const graph::Graph g = RingWithChords(60, 4, 40, seed);
+    const graph::SparseMatrix a1 =
+        CheckNextAdjacencyLevel(graph::SparseMatrix::Adjacency(g), scorer,
+                                &rng);
+    // A_1 = Sᵀ Â S stores each hyper-node's self-weight on its diagonal, so
+    // the next level merges the identity into existing entries.
+    size_t stored_diagonals = 0;
+    for (size_t r = 0; r < a1.rows(); ++r) {
+      stored_diagonals += a1.At(r, r) != 0.0 ? 1 : 0;
+    }
+    ASSERT_GT(stored_diagonals, 0u);
+    CheckNextAdjacencyLevel(a1, scorer, &rng);
   }
 }
 

@@ -61,6 +61,8 @@ void ExpectParity(const AdamGnn::Output& ref,
               got.levels[k].num_selected_egos);
     EXPECT_EQ(ref.levels[k].num_retained, got.levels[k].num_retained);
     EXPECT_EQ(ref.levels[k].num_covered, got.levels[k].num_covered);
+    EXPECT_EQ(ref.levels[k].num_pairs, got.levels[k].num_pairs);
+    EXPECT_EQ(ref.levels[k].adjacency_nnz, got.levels[k].adjacency_nnz);
   }
   EXPECT_EQ(ref.level1_egos, got.level1_egos);
   EXPECT_EQ(ref.level1_ego_of_node, got.level1_ego_of_node);

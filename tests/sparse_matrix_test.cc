@@ -7,12 +7,15 @@
 #include "graph/builder.h"
 #include "tensor/kernels.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace adamgnn::graph {
 namespace {
 
+using adamgnn::testing::ExpectSparseBitwiseEqual;
+using adamgnn::testing::TripletPlusIdentity;
 using tensor::AllClose;
 using tensor::Matrix;
 
@@ -177,6 +180,220 @@ TEST_P(SparseRandomSweep, MultiplyAssociativity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseRandomSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// ---------------------------------------------------------------------------
+// CSR-native builders against the triplet formulations they replaced. Each
+// reference computes every value with the same operations in the same order
+// as the builder, collects the entries as triplets and lets FromTriplets sort
+// and coalesce them; the builders must match bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Gustavson rows dumped as triplets. A column counts as untouched while its
+/// accumulator reads 0, so a cancelled column is listed again; FromTriplets
+/// never sees the duplicate because the first listing resets the slot.
+SparseMatrix TripletMultiply(const SparseMatrix& a, const SparseMatrix& b) {
+  std::vector<Triplet> t;
+  std::vector<double> acc(b.cols(), 0.0);
+  std::vector<size_t> touched;
+  for (size_t r = 0; r < a.rows(); ++r) {
+    touched.clear();
+    for (size_t k = a.row_offsets()[r]; k < a.row_offsets()[r + 1]; ++k) {
+      const size_t mid = a.col_indices()[k];
+      for (size_t k2 = b.row_offsets()[mid]; k2 < b.row_offsets()[mid + 1];
+           ++k2) {
+        const size_t c = b.col_indices()[k2];
+        if (acc[c] == 0.0) touched.push_back(c);
+        acc[c] += a.values()[k] * b.values()[k2];
+      }
+    }
+    for (size_t c : touched) {
+      if (acc[c] != 0.0) t.push_back({r, c, acc[c]});
+      acc[c] = 0.0;
+    }
+  }
+  return SparseMatrix::FromTriplets(a.rows(), b.cols(), std::move(t));
+}
+
+SparseMatrix TripletTransposed(const SparseMatrix& m) {
+  std::vector<Triplet> t;
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t k = m.row_offsets()[r]; k < m.row_offsets()[r + 1]; ++k) {
+      t.push_back({m.col_indices()[k], r, m.values()[k]});
+    }
+  }
+  return SparseMatrix::FromTriplets(m.cols(), m.rows(), std::move(t));
+}
+
+SparseMatrix TripletNormalized(const SparseMatrix& m) {
+  const size_t n = m.rows();
+  std::vector<Triplet> hat;
+  std::vector<double> degree(n, 0.0);
+  for (size_t r = 0; r < n; ++r) {
+    bool has_diag = false;
+    for (size_t k = m.row_offsets()[r]; k < m.row_offsets()[r + 1]; ++k) {
+      double v = m.values()[k];
+      if (m.col_indices()[k] == r) {
+        v += 1.0;
+        has_diag = true;
+      }
+      hat.push_back({r, m.col_indices()[k], v});
+      degree[r] += v;
+    }
+    if (!has_diag) {
+      hat.push_back({r, r, 1.0});
+      degree[r] += 1.0;
+    }
+  }
+  for (Triplet& t : hat) {
+    t.value /= std::sqrt(degree[t.row]) * std::sqrt(degree[t.col]);
+  }
+  return SparseMatrix::FromTriplets(n, n, std::move(hat));
+}
+
+SparseMatrix TripletAdjacency(const Graph& g) {
+  std::vector<Triplet> t;
+  for (NodeId u = 0; static_cast<size_t>(u) < g.num_nodes(); ++u) {
+    auto nbrs = g.Neighbors(u);
+    auto ws = g.NeighborWeights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      t.push_back({static_cast<size_t>(u), static_cast<size_t>(nbrs[i]),
+                   ws[i]});
+    }
+  }
+  return SparseMatrix::FromTriplets(g.num_nodes(), g.num_nodes(),
+                                    std::move(t));
+}
+
+/// rows x cols with each cell filled with probability `density`. Values are
+/// small signed integers, so SpGEMM partial sums cancel exactly and a
+/// diagonal of -1 cancels the added identity, or Gaussians; `non_negative`
+/// takes their magnitude (for Normalized). Low densities leave empty rows
+/// and columns, and rows both with and without a stored diagonal.
+SparseMatrix RandomCsr(size_t rows, size_t cols, double density,
+                       bool integers, bool non_negative, util::Rng* rng) {
+  std::vector<Triplet> t;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (rng->NextDouble() >= density) continue;
+      double v = integers ? static_cast<double>(rng->NextUint64(5)) - 2.0
+                          : rng->NextGaussian();
+      if (non_negative) v = std::fabs(v);
+      t.push_back({r, c, v});
+    }
+  }
+  return SparseMatrix::FromTriplets(rows, cols, std::move(t));
+}
+
+class CsrNativeSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CsrNativeSweep, MultiplyAndTransposedMatchTripletBuildBitwise) {
+  util::Rng rng(GetParam());
+  const size_t dims[] = {0, 1, 3, 7, 24};
+  for (size_t r : dims) {
+    for (size_t m : dims) {
+      for (size_t c : dims) {
+        for (const bool integers : {true, false}) {
+          const double density = rng.NextUniform(0.05, 0.6);
+          SCOPED_TRACE(::testing::Message()
+                       << r << "x" << m << " * " << m << "x" << c
+                       << (integers ? " integers" : " gaussian")
+                       << " density " << density);
+          const SparseMatrix a =
+              RandomCsr(r, m, density, integers, false, &rng);
+          const SparseMatrix b =
+              RandomCsr(m, c, density, integers, false, &rng);
+          ExpectSparseBitwiseEqual(a.Multiply(b), TripletMultiply(a, b));
+          ExpectSparseBitwiseEqual(a.Transposed(), TripletTransposed(a));
+        }
+      }
+    }
+  }
+  // Wide, sparse products: rows that touch only a few of many columns, as
+  // well as the dense rows above.
+  for (const double density : {0.005, 0.02, 0.05}) {
+    SCOPED_TRACE(::testing::Message() << "wide, density " << density);
+    const SparseMatrix a = RandomCsr(30, 200, density, false, false, &rng);
+    const SparseMatrix b = RandomCsr(200, 300, density, true, false, &rng);
+    ExpectSparseBitwiseEqual(a.Multiply(b), TripletMultiply(a, b));
+  }
+}
+
+TEST_P(CsrNativeSweep, PlusIdentityAndNormalizedMatchTripletBuildBitwise) {
+  util::Rng rng(GetParam() + 100);
+  for (size_t n : {0, 1, 2, 9, 40}) {
+    for (const double density : {0.05, 0.3, 0.9}) {
+      for (const bool integers : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << n << "x" << n << " density " << density
+                     << (integers ? " integers" : " gaussian"));
+        const SparseMatrix signed_m =
+            RandomCsr(n, n, density, integers, false, &rng);
+        ExpectSparseBitwiseEqual(signed_m.PlusIdentity(),
+                                 TripletPlusIdentity(signed_m));
+        const SparseMatrix m = RandomCsr(n, n, density, integers, true, &rng);
+        ExpectSparseBitwiseEqual(m.PlusIdentity(), TripletPlusIdentity(m));
+        ExpectSparseBitwiseEqual(m.Normalized(), TripletNormalized(m));
+      }
+    }
+  }
+}
+
+TEST_P(CsrNativeSweep, AdjacencyAndIdentityMatchTripletBuildBitwise) {
+  util::Rng rng(GetParam() + 200);
+  const size_t n = 30;
+  GraphBuilder b(n);
+  for (int e = 0; e < 60; ++e) {
+    const auto u = static_cast<NodeId>(rng.NextUint64(n));
+    const auto v = static_cast<NodeId>(rng.NextUint64(n));
+    if (u != v) b.AddEdge(u, v, rng.NextUniform(0.1, 3.0)).CheckOK();
+  }
+  const Graph g = std::move(b).Build().ValueOrDie();
+  ExpectSparseBitwiseEqual(SparseMatrix::Adjacency(g), TripletAdjacency(g));
+  ExpectSparseBitwiseEqual(SparseMatrix::NormalizedAdjacency(g),
+                           TripletNormalized(TripletAdjacency(g)));
+  for (size_t k : {0, 1, 5}) {
+    std::vector<Triplet> t;
+    for (size_t i = 0; i < k; ++i) t.push_back({i, i, 1.0});
+    ExpectSparseBitwiseEqual(SparseMatrix::Identity(k),
+                             SparseMatrix::FromTriplets(k, k, std::move(t)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CsrNativeSweep, ::testing::Values(1, 2, 3));
+
+TEST(CsrNativeTest, MultiplyListsARecancelledColumnOnce) {
+  // Row 0 of a * b sums column 0 as +1, -1, +2: the partial sum reads
+  // exactly 0 before the column is touched again. Column 1 cancels for good
+  // (+1, -1) and column 2 only sees a product that underflows to -0.0, so
+  // both are dropped.
+  const SparseMatrix a =
+      SparseMatrix::FromTriplets(1, 3, {{0, 0, 1.0}, {0, 1, 1.0},
+                                        {0, 2, 1.0}});
+  const SparseMatrix b = SparseMatrix::FromTriplets(
+      3, 3,
+      {{0, 0, 1.0}, {1, 0, -1.0}, {2, 0, 2.0}, {0, 1, 1.0}, {1, 1, -1.0}});
+  const SparseMatrix tiny =
+      SparseMatrix::FromTriplets(1, 1, {{0, 0, -1e-200}});
+  const SparseMatrix tinier =
+      SparseMatrix::FromTriplets(1, 3, {{0, 2, 1e-200}});
+  const SparseMatrix p = a.Multiply(b);
+  EXPECT_EQ(p.col_indices(), (std::vector<size_t>{0}));
+  EXPECT_EQ(p.values(), (std::vector<double>{2.0}));
+  ExpectSparseBitwiseEqual(p, TripletMultiply(a, b));
+  const SparseMatrix zero = tiny.Multiply(tinier);
+  EXPECT_EQ(zero.nnz(), 0u);
+  ExpectSparseBitwiseEqual(zero, TripletMultiply(tiny, tinier));
+}
+
+TEST(CsrNativeTest, NormalizedDropsAnEntryThatUnderflows) {
+  // Row 0's degree is ~1e300, so the (0, 1) entry 1e-320 scales to 0 and is
+  // dropped; row 1 stores no diagonal, so its +1 is summed last.
+  const SparseMatrix m = SparseMatrix::FromTriplets(
+      2, 2, {{0, 0, 1e300}, {0, 1, 1e-320}, {1, 0, 1e-320}});
+  const SparseMatrix norm = m.Normalized();
+  EXPECT_EQ(norm.At(0, 1), 0.0);
+  ExpectSparseBitwiseEqual(norm, TripletNormalized(m));
+}
 
 // ---------------------------------------------------------------------------
 // SpMMᵀ: the cached transposed view, the adaptive strategies, their bitwise

@@ -1,17 +1,21 @@
-// Shared test helpers: finite-difference gradient checking and small graph
-// fixtures.
+// Shared test helpers: finite-difference gradient checking, a bitwise
+// sparse-matrix comparison with a triplet-built A + I reference, and small
+// graph fixtures.
 
 #ifndef ADAMGNN_TESTS_TEST_UTIL_H_
 #define ADAMGNN_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "autograd/variable.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
+#include "graph/sparse_matrix.h"
 #include "gtest/gtest.h"
 #include "tensor/matrix.h"
 #include "util/random.h"
@@ -70,6 +74,37 @@ inline std::vector<double> LeakyReluSegmentSoftmax(
 inline size_t CountNegative(const std::vector<double>& xs) {
   return static_cast<size_t>(
       std::count_if(xs.begin(), xs.end(), [](double x) { return x < 0; }));
+}
+
+/// Expects identical shapes and CSR arrays, comparing values bit for bit
+/// (so -0.0 differs from +0.0 and no tolerance hides a reordered sum).
+inline void ExpectSparseBitwiseEqual(const graph::SparseMatrix& got,
+                                     const graph::SparseMatrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_offsets(), want.row_offsets());
+  EXPECT_EQ(got.col_indices(), want.col_indices());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (size_t k = 0; k < got.values().size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.values()[k]),
+              std::bit_cast<uint64_t>(want.values()[k]))
+        << "entry " << k << ": " << got.values()[k] << " vs "
+        << want.values()[k];
+  }
+}
+
+/// A + I built from triplets: A's entries plus a (r, r, 1) triplet per row,
+/// sorted and coalesced into any stored diagonal by FromTriplets. The
+/// reference for SparseMatrix::PlusIdentity and NextAdjacency's Â.
+inline graph::SparseMatrix TripletPlusIdentity(const graph::SparseMatrix& a) {
+  std::vector<graph::Triplet> t;
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t k = a.row_offsets()[r]; k < a.row_offsets()[r + 1]; ++k) {
+      t.push_back({r, a.col_indices()[k], a.values()[k]});
+    }
+    t.push_back({r, r, 1.0});
+  }
+  return graph::SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(t));
 }
 
 /// A small fixed graph: two triangles bridged by one edge (6 nodes), with

@@ -32,11 +32,13 @@ ADAMGNN_ISA=scalar ctest --test-dir build --output-on-failure -j "${JOBS}"
 echo "==> UBSan build + kernel-suite ctest"
 # UndefinedBehaviorSanitizer over the suites that drive the per-ISA SIMD
 # variants (alignment, pointer arithmetic in the packed GEMM panels, lane
-# tails) plus the containers they lean on.
+# tails), the containers they lean on, and the CSR-native sparse builders
+# (hand-written row offsets; the assignment suite holds the bitwise
+# S_kᵀ Â S_k check).
 cmake -B build-ubsan -S . -DADAMGNN_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "${JOBS}"
 ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
-    -R 'isa|kernels|sparse_matrix|autograd_sparse|matrix|workspace|thread_pool'
+    -R 'isa|kernels|sparse_matrix|autograd_sparse|matrix|workspace|thread_pool|assignment'
 
 echo "==> bench smoke (small shapes; exercises the bitwise gates)"
 # The benches run their comparison passes at toy sizes: the epoch bench
