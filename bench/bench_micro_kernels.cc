@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels on AdamGNN's critical
 // path: dense GEMM, sparse SpMM, segment softmax, λ-hop ego-network
-// enumeration, one full adaptive-pooling step, and the hyper-graph build
-// S_kᵀ Â S_k plus its GCN normalisation on its own.
+// enumeration, one full adaptive-pooling step, the hyper-graph build
+// S_kᵀ Â S_k plus its GCN normalisation on its own, and the graph
+// fingerprint that keys the serving result cache.
 //
 // Before the google-benchmark suite runs, this binary times the parallel
 // kernel backend against naive single-threaded reference loops and writes
@@ -29,6 +30,7 @@
 #include "core/assignment.h"
 #include "core/ego_selection.h"
 #include "core/fitness.h"
+#include "core/graph_plan.h"
 #include "data/node_datasets.h"
 #include "data/sbm.h"
 #include "graph/builder.h"
@@ -163,6 +165,34 @@ void BM_NextAdjacency(benchmark::State& state) {
   state.counters["adjacency_nnz"] = static_cast<double>(nnz);
 }
 BENCHMARK(BM_NextAdjacency)->Unit(benchmark::kMillisecond);
+
+void BM_GraphFingerprint(benchmark::State& state) {
+  // GraphPlan::Fingerprint on a D&D-sized graph (~300 nodes x 89 features,
+  // ~750 edges): the whole cost of a serving cache hit but the lookup.
+  const size_t n = 300, d = 89;
+  util::Rng rng(6);
+  graph::GraphBuilder builder(n);
+  for (size_t i = 0; i < n; ++i) {
+    builder
+        .AddEdge(static_cast<graph::NodeId>(i),
+                 static_cast<graph::NodeId>((i + 1) % n))
+        .CheckOK();
+  }
+  for (size_t c = 0; c < 450; ++c) {
+    const size_t u = static_cast<size_t>(rng.NextUint64(n));
+    const size_t v = (u + 2 + static_cast<size_t>(rng.NextUint64(n - 3))) % n;
+    builder
+        .AddEdge(static_cast<graph::NodeId>(u), static_cast<graph::NodeId>(v))
+        .CheckOK();
+  }
+  builder.SetFeatures(tensor::Matrix::Gaussian(n, d, 1.0, &rng)).CheckOK();
+  const graph::Graph g = std::move(builder).Build().ValueOrDie();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::GraphPlan::Fingerprint(g));
+  }
+  state.counters["edges"] = static_cast<double>(g.num_edges());
+}
+BENCHMARK(BM_GraphFingerprint)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Serial-vs-parallel comparison pass.

@@ -18,6 +18,8 @@ namespace adamgnn::core {
 /// Fingerprint-keyed single-plan cache shared by the single-graph adapters:
 /// trainers call Forward/Evaluate with the same graph every epoch, so the
 /// plan (and its λ-hop ego enumeration) is built exactly once per graph.
+/// Each call rehashes the graph (one word-wise pass over its CSR and
+/// features), so the key is the graph's content, not its address.
 class PlanCache {
  public:
   explicit PlanCache(int lambda) : lambda_(lambda) {}

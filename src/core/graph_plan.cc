@@ -1,10 +1,11 @@
 #include "core/graph_plan.h"
 
-#include <cstring>
+#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "util/cancel.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace adamgnn::core {
@@ -33,14 +34,22 @@ std::shared_ptr<const GraphPlan> GraphPlan::Build(const graph::Graph& g,
 
 util::Result<std::shared_ptr<const GraphPlan>> GraphPlan::TryBuild(
     const graph::Graph& g, int lambda) {
+  // A token that fires mid-hash truncates the digest; the three-argument
+  // TryBuild polls before its first phase, so the plan carrying it is
+  // discarded.
+  return TryBuild(g, lambda, Fingerprint(g));
+}
+
+util::Result<std::shared_ptr<const GraphPlan>> GraphPlan::TryBuild(
+    const graph::Graph& g, int lambda, uint64_t fingerprint) {
   if (lambda < 1) {
     return util::Status::InvalidArgument("lambda must be >= 1, got " +
                                          std::to_string(lambda));
   }
   auto plan = std::shared_ptr<GraphPlan>(new GraphPlan());
-  plan->num_nodes_ = g.num_nodes();
+  plan->shape_ = GraphShape::Of(g);
   plan->lambda_ = lambda;
-  plan->fingerprint_ = Fingerprint(g);
+  plan->fingerprint_ = fingerprint;
   // Cooperative cancellation between (and, for the per-node loops, inside)
   // the construction phases: each phase's partial output is discarded when
   // the ambient token fires, so the checks never change what a completed
@@ -65,39 +74,33 @@ util::Result<std::shared_ptr<const GraphPlan>> GraphPlan::TryBuild(
 }
 
 uint64_t GraphPlan::Fingerprint(const graph::Graph& g) {
-  // FNV-1a over the node count, the CSR neighbor stream (rows in order,
-  // neighbors sorted by construction), and the raw feature bytes. The
-  // feature matrix is folded in because plans hoist a copy of it: a plan
-  // must be dropped when either the topology or the features change.
-  constexpr uint64_t kOffset = 14695981039346656037ull;
-  constexpr uint64_t kPrime = 1099511628211ull;
-  uint64_t h = kOffset;
-  auto mix = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= kPrime;
-    }
-  };
-  mix(g.num_nodes());
+  // One word stream: the node count, then each CSR row length-prefixed by
+  // its degree (neighbors sorted by construction) so moving an edge between
+  // rows changes the stream, then the feature width and bits. Weights are
+  // folded in because Â and A are built from them, features because plans
+  // hoist a copy of them: a plan must be dropped when the topology, the
+  // weights or the features change.
+  util::WordHash h;
+  h.Add(g.num_nodes());
   for (graph::NodeId v = 0; static_cast<size_t>(v) < g.num_nodes(); ++v) {
     // Strided cancellation poll: a fired token makes the caller discard the
     // digest, so the early exit can never leak a truncated fingerprint.
-    if ((v & 1023) == 0 && util::CancelRequested()) return h;
+    if ((v & 1023) == 0 && util::CancelRequested()) return h.Digest();
     const auto neighbors = g.Neighbors(v);
-    mix(neighbors.size());
-    for (graph::NodeId u : neighbors) mix(static_cast<uint64_t>(u));
+    h.Add(neighbors.size());
+    h.AddWords(neighbors.data(), neighbors.size());
+    h.AddWords(g.NeighborWeights(v).data(), neighbors.size());
   }
   if (g.has_features()) {
     const tensor::Matrix& x = g.features();
-    mix(x.cols());
-    for (size_t i = 0; i < x.size(); ++i) {
-      if ((i & 8191) == 0 && util::CancelRequested()) return h;
-      uint64_t bits;
-      std::memcpy(&bits, &x.data()[i], sizeof(bits));
-      mix(bits);
+    h.Add(x.cols());
+    constexpr size_t kPollWords = 8192;
+    for (size_t i = 0; i < x.size(); i += kPollWords) {
+      if (util::CancelRequested()) return h.Digest();
+      h.AddWords(x.data() + i, std::min(kPollWords, x.size() - i));
     }
   }
-  return h;
+  return h.Digest();
 }
 
 }  // namespace adamgnn::core

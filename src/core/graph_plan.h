@@ -43,6 +43,20 @@ struct LevelTopology {
                                      int lambda);
 };
 
+/// The sizes of a graph that the session's fingerprint-keyed result cache
+/// stores with each entry and compares on a hit, so a 64-bit key collision
+/// can never hand out a result of the wrong shape.
+struct GraphShape {
+  size_t num_nodes = 0;
+  size_t num_edges = 0;
+  size_t feature_dim = 0;
+
+  static GraphShape Of(const graph::Graph& g) {
+    return {g.num_nodes(), g.num_edges(), g.feature_dim()};
+  }
+  bool operator==(const GraphShape&) const = default;
+};
+
 /// Everything the forward pass needs that is a pure function of (topology,
 /// features, λ). Immutable after Build; cheap to share via shared_ptr.
 class GraphPlan {
@@ -51,8 +65,8 @@ class GraphPlan {
                                                 int lambda);
 
   /// Cancellable Build for the serving path: polls the ambient
-  /// util::CancelToken between construction phases (fingerprint, Â,
-  /// adjacency, level-0 ego enumeration) and inside the long per-node
+  /// util::CancelToken while hashing the graph, between construction phases
+  /// (Â, adjacency, level-0 ego enumeration) and inside the long per-node
   /// loops, so an expired request deadline aborts plan construction in
   /// bounded time with DeadlineExceeded instead of running to completion.
   /// Identical output to Build when the token never fires (the checkpoints
@@ -61,14 +75,25 @@ class GraphPlan {
   static util::Result<std::shared_ptr<const GraphPlan>> TryBuild(
       const graph::Graph& g, int lambda);
 
-  /// Order-sensitive digest of the plan inputs: node count, CSR neighbor
-  /// stream, and raw feature bytes (features are folded in because the plan
-  /// hoists a copy of them). Two graphs with the same fingerprint are
-  /// treated as plan-compatible; callers key plan caches on it so a
-  /// recycled Graph address can never alias a stale plan.
+  /// TryBuild for a caller that already holds `fingerprint` ==
+  /// Fingerprint(g), computed with no token fired: the plan carries it as
+  /// its key instead of hashing the graph a second time.
+  static util::Result<std::shared_ptr<const GraphPlan>> TryBuild(
+      const graph::Graph& g, int lambda, uint64_t fingerprint);
+
+  /// Order-sensitive digest of the plan inputs, as a util::WordHash over:
+  /// the node count; each CSR row's degree, neighbor ids and edge weights
+  /// (Â and A are weighted); the feature width; and the raw feature bits
+  /// (features are folded in because the plan hoists a copy of them). Two
+  /// graphs with the same fingerprint are treated as plan-compatible;
+  /// callers key plan caches on it so a recycled Graph address can never
+  /// alias a stale plan. Polls the ambient token once
+  /// per 1024 rows and once per 8192 feature words and returns early when
+  /// it fired; a caller must then discard the digest.
   static uint64_t Fingerprint(const graph::Graph& g);
 
-  size_t num_nodes() const { return num_nodes_; }
+  size_t num_nodes() const { return shape_.num_nodes; }
+  const GraphShape& shape() const { return shape_; }
   int lambda() const { return lambda_; }
   uint64_t fingerprint() const { return fingerprint_; }
 
@@ -90,7 +115,7 @@ class GraphPlan {
  private:
   GraphPlan() = default;
 
-  size_t num_nodes_ = 0;
+  GraphShape shape_;
   int lambda_ = 1;
   uint64_t fingerprint_ = 0;
   std::shared_ptr<const graph::SparseMatrix> norm_adj_;

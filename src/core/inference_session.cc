@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cancel.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -63,32 +64,19 @@ void InferenceSession::Snapshot(const AdamGnn& model) {
   std::vector<autograd::Variable> to = frozen->Parameters();
   ADAMGNN_CHECK_EQ(from.size(), to.size());
 
-  // Version identity: FNV-1a over every frozen matrix, shapes included so
-  // structurally different checkpoints can never collide through zero-sized
-  // payloads. Same constants/mix as GraphPlan::Fingerprint.
-  constexpr uint64_t kOffset = 14695981039346656037ull;
-  constexpr uint64_t kPrime = 1099511628211ull;
-  uint64_t h = kOffset;
-  auto mix_u64 = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xffu;
-      h *= kPrime;
-    }
-  };
+  // Version identity: one word stream over every frozen matrix, shapes
+  // included so structurally different checkpoints can never collide
+  // through zero-sized payloads.
+  util::WordHash h;
   for (size_t i = 0; i < from.size(); ++i) {
     const tensor::Matrix& m = from[i].value();
     ADAMGNN_CHECK(m.SameShape(to[i].value()));
     to[i].mutable_value() = m;
-    mix_u64(static_cast<uint64_t>(m.rows()));
-    mix_u64(static_cast<uint64_t>(m.cols()));
-    const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
-    const size_t n = m.rows() * m.cols() * sizeof(double);
-    for (size_t b = 0; b < n; ++b) {
-      h ^= bytes[b];
-      h *= kPrime;
-    }
+    h.Add(m.rows());
+    h.Add(m.cols());
+    h.AddWords(m.data(), m.rows() * m.cols());
   }
-  weights_fingerprint_ = h;
+  weights_fingerprint_ = h.Digest();
   model_ = std::move(frozen);
 }
 
@@ -126,7 +114,7 @@ util::Status InferenceSession::TryRun(
         "plan lambda " + std::to_string(plan->lambda()) +
         " != session lambda " + std::to_string(config_.lambda));
   }
-  return Lookup(plan->fingerprint(), plan.get(), out);
+  return Lookup(plan->fingerprint(), plan->shape(), plan.get(), out);
 }
 
 util::Status InferenceSession::TryRun(const graph::Graph& g,
@@ -134,31 +122,35 @@ util::Status InferenceSession::TryRun(const graph::Graph& g,
                                       const Result** out) {
   ADAMGNN_CHECK(out != nullptr);
   *out = nullptr;
+  const GraphShape shape = GraphShape::Of(g);
   std::shared_ptr<const GraphPlan> plan;
-  if (Cached(fingerprint) == nullptr) {
-    ADAMGNN_ASSIGN_OR_RETURN(plan, GraphPlan::TryBuild(g, config_.lambda));
+  if (Cached(fingerprint, shape) == nullptr) {
+    ADAMGNN_ASSIGN_OR_RETURN(
+        plan, GraphPlan::TryBuild(g, config_.lambda, fingerprint));
   }
-  return Lookup(fingerprint, plan.get(), out);
+  return Lookup(fingerprint, shape, plan.get(), out);
 }
 
 const InferenceSession::Result* InferenceSession::Cached(
-    uint64_t fingerprint) const {
+    uint64_t fingerprint, const GraphShape& shape) const {
   auto it = cache_.find(fingerprint);
-  return it == cache_.end() ? nullptr : &it->second;
+  if (it == cache_.end() || it->second.shape != shape) return nullptr;
+  return &it->second.result;
 }
 
 util::Status InferenceSession::Lookup(uint64_t fingerprint,
+                                      const GraphShape& shape,
                                       const GraphPlan* plan,
                                       const Result** out) {
   InferRequests().Add();
   obs::TraceSpan span("infer.request");
   util::Stopwatch sw;
   auto it = cache_.find(fingerprint);
-  if (it != cache_.end()) {
+  if (it != cache_.end() && it->second.shape == shape) {
     PlanCacheHits().Add();
     span.Note("cache_hit", 1.0);
     RequestSeconds().Observe(sw.ElapsedSeconds());
-    *out = &it->second;
+    *out = &it->second.result;
     return util::Status::OK();
   }
   PlanCacheMisses().Add();
@@ -168,16 +160,21 @@ util::Status InferenceSession::Lookup(uint64_t fingerprint,
   ADAMGNN_RETURN_NOT_OK(RunUncached(*plan, &result));
   // Partial results from a cancelled forward never reach the cache: the
   // eviction + insert below only happen after RunUncached ran to the end.
-  if (order_.size() >= kMaxCachedPlans) {
-    PlanCacheEvictions().Add();
-    cache_.erase(order_.front());
-    order_.erase(order_.begin());
+  if (it != cache_.end()) {
+    // A key collision with a graph of another shape: the new result takes
+    // over the entry and its FIFO slot.
+    it->second = {shape, std::move(result)};
+  } else {
+    if (order_.size() >= kMaxCachedPlans) {
+      PlanCacheEvictions().Add();
+      cache_.erase(order_.front());
+      order_.erase(order_.begin());
+    }
+    order_.push_back(fingerprint);
+    it = cache_.emplace(fingerprint, Entry{shape, std::move(result)}).first;
   }
-  order_.push_back(fingerprint);
-  const Result& cached =
-      cache_.emplace(fingerprint, std::move(result)).first->second;
   RequestSeconds().Observe(sw.ElapsedSeconds());
-  *out = &cached;
+  *out = &it->second.result;
   return util::Status::OK();
 }
 

@@ -8,8 +8,10 @@
 // Caching: results are memoized per graph fingerprint
 // (GraphPlan::Fingerprint), so repeated queries against the same graph skip
 // the pooling cascade entirely (the dominant serving cost), whichever plan
-// object carries them. The cache is a FIFO of the kMaxCachedPlans most
-// recently inserted graphs. Invalidation follows the two-axis rule
+// object carries them. Each entry also stores its graph's GraphShape; a hit
+// whose shape differs from the request's is a key collision and runs as a
+// miss that replaces the entry. The cache is a FIFO of the kMaxCachedPlans
+// most recently inserted graphs. Invalidation follows the two-axis rule
 // documented in DESIGN.md:
 //   weights change  => RefreshWeights(model)  — drops the result cache,
 //   topology change => a new fingerprint      — a new cache key.
@@ -56,10 +58,11 @@ class InferenceSession {
   };
 
   /// Runs (or returns the cached) forward for `plan`, keyed by
-  /// plan->fingerprint(). The reference stays valid until RefreshWeights or
-  /// eviction of that entry (the cache holds the kMaxCachedPlans most
-  /// recently inserted graphs). Aborts on a malformed plan or a fired
-  /// cancellation token — serving layers use TryRun instead.
+  /// plan->fingerprint() and checked against plan->shape(). The reference
+  /// stays valid until RefreshWeights or eviction of that entry (the cache
+  /// holds the kMaxCachedPlans most recently inserted graphs). Aborts on a
+  /// malformed plan or a fired cancellation token — serving layers use
+  /// TryRun instead.
   const Result& Run(const std::shared_ptr<const GraphPlan>& plan);
 
   /// Status-returning Run for the serving path. Polls the ambient
@@ -77,14 +80,16 @@ class InferenceSession {
 
   /// TryRun for a graph whose `fingerprint` (GraphPlan::Fingerprint(g)) the
   /// caller already computed. Only a miss builds a plan, with
-  /// GraphPlan::TryBuild at the session's λ, under the same cancellation
-  /// rules; the plan is dropped once its result is cached.
+  /// GraphPlan::TryBuild at the session's λ and that same fingerprint (the
+  /// graph is not hashed again), under the same cancellation rules; the
+  /// plan is dropped once its result is cached.
   util::Status TryRun(const graph::Graph& g, uint64_t fingerprint,
                       const Result** out);
 
-  /// The cached result for `fingerprint`, or nullptr. Runs nothing and
-  /// counts nothing; the pointer has the lifetime of Run's reference.
-  const Result* Cached(uint64_t fingerprint) const;
+  /// The cached result for `fingerprint` when its stored shape is `shape`,
+  /// or nullptr. Runs nothing and counts nothing; the pointer has the
+  /// lifetime of Run's reference.
+  const Result* Cached(uint64_t fingerprint, const GraphShape& shape) const;
 
   /// Re-snapshots the model's parameters and drops every cached result
   /// (weights change => selection cascade is stale).
@@ -92,22 +97,27 @@ class InferenceSession {
 
   const AdamGnnConfig& config() const { return config_; }
 
-  /// FNV-1a digest of every frozen parameter matrix, in Parameters() order
-  /// (shapes + raw bytes), computed at snapshot time. Two sessions with
-  /// bitwise-identical weights have equal fingerprints; the model registry
-  /// uses this as the version identity for canary bookkeeping and rollback
-  /// verification.
+  /// util::WordHash digest of every frozen parameter matrix, in
+  /// Parameters() order (shapes + raw bytes), computed at snapshot time.
+  /// Two sessions with bitwise-identical weights have equal fingerprints;
+  /// the model registry uses this as the version identity for canary
+  /// bookkeeping and rollback verification.
   uint64_t WeightsFingerprint() const { return weights_fingerprint_; }
 
   /// Result-cache capacity, in graphs.
   static constexpr size_t kMaxCachedPlans = 16;
 
  private:
-  /// Counts one request and serves `fingerprint` from the cache; on a miss
-  /// runs `plan` (non-null whenever `fingerprint` is not cached) and caches
-  /// the result.
-  util::Status Lookup(uint64_t fingerprint, const GraphPlan* plan,
-                      const Result** out);
+  struct Entry {
+    GraphShape shape;
+    Result result;
+  };
+
+  /// Counts one request and serves (`fingerprint`, `shape`) from the cache;
+  /// on a miss runs `plan` (non-null whenever Cached returns nullptr) and
+  /// caches the result, replacing a colliding entry of another shape.
+  util::Status Lookup(uint64_t fingerprint, const GraphShape& shape,
+                      const GraphPlan* plan, const Result** out);
   util::Status RunUncached(const GraphPlan& plan, Result* out) const;
   void Snapshot(const AdamGnn& model);
 
@@ -117,7 +127,7 @@ class InferenceSession {
 
   // Result cache keyed by graph fingerprint; `order_` holds the keys in
   // insertion order, oldest first, for FIFO eviction.
-  std::unordered_map<uint64_t, Result> cache_;
+  std::unordered_map<uint64_t, Entry> cache_;
   std::vector<uint64_t> order_;
 };
 

@@ -122,7 +122,7 @@ util::Result<ServeResult> ResilientServer::Serve(
     // the only acceptable fallback is a stale cached result (free).
     if (options_.allow_degraded) {
       ServeResult stale;
-      if (LookupStale(fingerprint, &stale)) {
+      if (LookupStale(g, fingerprint, &stale)) {
         ServeDegraded().Add();
         span.Note("degraded_stale", 1.0);
         ServeSeconds().Observe(watch.ElapsedSeconds());
@@ -246,7 +246,7 @@ util::Result<ServeResult> ResilientServer::Degrade(
   // Rung 2: the full session's cached result for the same graph, if it
   // still holds one.
   ServeResult stale;
-  if (LookupStale(fingerprint, &stale)) {
+  if (LookupStale(g, fingerprint, &stale)) {
     stale.attempts = attempts + 1;
     ServeDegraded().Add();
     ServeSeconds().Observe(watch.ElapsedSeconds());
@@ -266,9 +266,11 @@ util::Status ResilientServer::Run(core::InferenceSession* session,
   return util::Status::OK();
 }
 
-bool ResilientServer::LookupStale(uint64_t fingerprint, ServeResult* out) {
+bool ResilientServer::LookupStale(const graph::Graph& g, uint64_t fingerprint,
+                                  ServeResult* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  const core::InferenceSession::Result* r = session_.Cached(fingerprint);
+  const core::InferenceSession::Result* r =
+      session_.Cached(fingerprint, core::GraphShape::Of(g));
   if (r == nullptr) return false;
   CopyResult(session_, *r, ServeMode::kDegradedStale, out);
   return true;

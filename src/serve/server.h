@@ -149,9 +149,10 @@ class ResilientServer {
   util::Status Run(core::InferenceSession* session, ServeMode mode,
                    const graph::Graph& g, uint64_t fingerprint,
                    ServeResult* out);
-  /// The full session's cached result for `fingerprint`, tagged
-  /// kDegradedStale; false when the graph is not cached.
-  bool LookupStale(uint64_t fingerprint, ServeResult* out);
+  /// The full session's cached result for `g` (keyed by `fingerprint`),
+  /// tagged kDegradedStale; false when the graph is not cached.
+  bool LookupStale(const graph::Graph& g, uint64_t fingerprint,
+                   ServeResult* out);
 
   util::Result<ServeResult> Degrade(const graph::Graph& g,
                                     uint64_t fingerprint,

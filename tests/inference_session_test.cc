@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -30,6 +31,7 @@ namespace adamgnn::core {
 namespace {
 
 using adamgnn::testing::Ring;
+using adamgnn::testing::RingWithChords;
 using adamgnn::testing::TwoTriangles;
 using tensor::Matrix;
 
@@ -195,7 +197,7 @@ TEST(InferenceSessionTest, PlansOfOneGraphShareOneCacheEntry) {
   ASSERT_TRUE(session.TryRun(g, GraphPlan::Fingerprint(g), &by_graph).ok());
   EXPECT_EQ(by_graph, &cold);
   EXPECT_EQ(PlanCacheHits(), hits + 2);
-  EXPECT_EQ(session.Cached(plan_a->fingerprint()), &cold);
+  EXPECT_EQ(session.Cached(plan_a->fingerprint(), plan_a->shape()), &cold);
 
   // A plan at another λ shares the fingerprint but not the result.
   auto wide = GraphPlan::Build(g, c.lambda + 1);
@@ -231,20 +233,23 @@ TEST(InferenceSessionTest, CacheEvictsTheOldestGraphFirst) {
 
   constexpr size_t kGraphs = InferenceSession::kMaxCachedPlans + 1;
   std::vector<uint64_t> fps;
+  std::vector<GraphShape> shapes;
   for (size_t i = 0; i < kGraphs; ++i) {
     graph::Graph g = Ring(6 + i, 4, 300 + i);
     fps.push_back(GraphPlan::Fingerprint(g));
+    shapes.push_back(GraphShape::Of(g));
     session.Run(GraphPlan::Build(g, c.lambda));
   }
-  EXPECT_EQ(session.Cached(fps[0]), nullptr);
+  EXPECT_EQ(session.Cached(fps[0], shapes[0]), nullptr);
   for (size_t i = 1; i < kGraphs; ++i) {
-    EXPECT_NE(session.Cached(fps[i]), nullptr) << "graph " << i;
+    EXPECT_NE(session.Cached(fps[i], shapes[i]), nullptr) << "graph " << i;
   }
 }
 
 TEST(InferenceSessionTest, RefreshAndCancelledRunsLeaveNoEntry) {
   graph::Graph g = TwoTriangles();
   const uint64_t fp = GraphPlan::Fingerprint(g);
+  const GraphShape shape = GraphShape::Of(g);
   util::Rng rng(17);
   AdamGnnConfig c = SmallConfig(4, 2);
   AdamGnn model(c, &rng);
@@ -252,9 +257,9 @@ TEST(InferenceSessionTest, RefreshAndCancelledRunsLeaveNoEntry) {
   auto plan = GraphPlan::Build(g, c.lambda);
 
   session.Run(plan);
-  ASSERT_NE(session.Cached(fp), nullptr);
+  ASSERT_NE(session.Cached(fp, shape), nullptr);
   session.RefreshWeights(model);
-  EXPECT_EQ(session.Cached(fp), nullptr);
+  EXPECT_EQ(session.Cached(fp, shape), nullptr);
 
   util::CancelToken token = util::CancelToken::Cancellable();
   token.Cancel();
@@ -263,7 +268,147 @@ TEST(InferenceSessionTest, RefreshAndCancelledRunsLeaveNoEntry) {
   EXPECT_EQ(session.TryRun(plan, &out).code(), util::StatusCode::kCancelled);
   EXPECT_EQ(session.TryRun(g, fp, &out).code(), util::StatusCode::kCancelled);
   EXPECT_EQ(out, nullptr);
-  EXPECT_EQ(session.Cached(fp), nullptr);
+  EXPECT_EQ(session.Cached(fp, shape), nullptr);
+}
+
+// A graph on `n` nodes with exactly these weighted edges and features, so a
+// test can vary one fingerprint input of an existing graph at a time.
+graph::Graph FromParts(size_t n, const std::vector<graph::Edge>& edges,
+                       Matrix features) {
+  graph::GraphBuilder b(n);
+  for (const graph::Edge& e : edges) {
+    b.AddEdge(e.src, e.dst, e.weight).CheckOK();
+  }
+  b.SetFeatures(std::move(features)).CheckOK();
+  return std::move(b).Build().ValueOrDie();
+}
+
+TEST(InferenceSessionTest, ReweightedEdgeIsAMissThatMatchesAFreshSession) {
+  obs::SetEnabled(true);
+  graph::Graph g = Ring(24, 4, 45);
+  std::vector<graph::Edge> edges = g.UndirectedEdges();
+  edges[3].weight = 3.5;
+  graph::Graph reweighted = FromParts(g.num_nodes(), edges, g.features());
+  util::Rng rng(18);
+  AdamGnnConfig c = SmallConfig(4, 2);
+  AdamGnn model(c, &rng);
+  InferenceSession session(model);
+
+  const InferenceSession::Result* first = nullptr;
+  ASSERT_TRUE(session.TryRun(g, GraphPlan::Fingerprint(g), &first).ok());
+  const uint64_t hits = PlanCacheHits();
+  const InferenceSession::Result* second = nullptr;
+  ASSERT_TRUE(session
+                  .TryRun(reweighted, GraphPlan::Fingerprint(reweighted),
+                          &second)
+                  .ok());
+  EXPECT_EQ(PlanCacheHits(), hits);
+  EXPECT_NE(second, first);
+
+  InferenceSession fresh(model);
+  const InferenceSession::Result& want =
+      fresh.Run(GraphPlan::Build(reweighted, c.lambda));
+  EXPECT_TRUE(second->embeddings == want.embeddings);
+  EXPECT_TRUE(second->logits == want.logits);
+  EXPECT_TRUE(second->flyback_attention == want.flyback_attention);
+  // The weight reaches Â, so serving g's result here would have been wrong.
+  EXPECT_FALSE(first->embeddings == want.embeddings);
+}
+
+TEST(InferenceSessionTest, KeyCollisionWithAnotherShapeIsAMiss) {
+  obs::SetEnabled(true);
+  graph::Graph g1 = Ring(20, 4, 46);
+  graph::Graph g2 = Ring(26, 4, 47);
+  const uint64_t fp1 = GraphPlan::Fingerprint(g1);
+  util::Rng rng(19);
+  AdamGnnConfig c = SmallConfig(4, 2);
+  AdamGnn model(c, &rng);
+  InferenceSession session(model);
+
+  const InferenceSession::Result* first = nullptr;
+  ASSERT_TRUE(session.TryRun(g1, fp1, &first).ok());
+  const uint64_t hits = PlanCacheHits();
+  // g2 arrives under g1's key, as an accidental or forged collision would.
+  const InferenceSession::Result* second = nullptr;
+  ASSERT_TRUE(session.TryRun(g2, fp1, &second).ok());
+  EXPECT_EQ(PlanCacheHits(), hits);
+  ASSERT_EQ(second->embeddings.rows(), g2.num_nodes());
+
+  InferenceSession fresh(model);
+  const InferenceSession::Result& want =
+      fresh.Run(GraphPlan::Build(g2, c.lambda));
+  EXPECT_TRUE(second->embeddings == want.embeddings);
+  EXPECT_TRUE(second->logits == want.logits);
+  // g2's result replaced g1's under the shared key.
+  EXPECT_EQ(session.Cached(fp1, GraphShape::Of(g1)), nullptr);
+  EXPECT_EQ(session.Cached(fp1, GraphShape::Of(g2)), second);
+}
+
+uint64_t Fp(const graph::Graph& g) { return GraphPlan::Fingerprint(g); }
+
+TEST(GraphFingerprintTest, IndependentBuildsAgree) {
+  const graph::Graph a = RingWithChords(40, 5, 8, 48);
+  const graph::Graph b = RingWithChords(40, 5, 8, 48);
+  EXPECT_EQ(Fp(a), Fp(b));
+  EXPECT_EQ(GraphPlan::Build(a, 1)->fingerprint(), Fp(b));
+  EXPECT_EQ(GraphPlan::Build(b, 2)->fingerprint(), Fp(a));
+  EXPECT_NE(Fp(a), Fp(RingWithChords(40, 5, 8, 49)));
+}
+
+TEST(GraphFingerprintTest, SeesEveryPlanInput) {
+  const graph::Graph g = Ring(30, 5, 50);
+  const size_t n = g.num_nodes();
+  const std::vector<graph::Edge> edges = g.UndirectedEdges();
+  const Matrix& x = g.features();
+  const uint64_t base = Fp(g);
+  ASSERT_EQ(Fp(FromParts(n, edges, x)), base);
+
+  // One feature bit: the lowest mantissa bit of one entry, and the sign of
+  // a zero.
+  Matrix flipped = x;
+  uint64_t bits;
+  std::memcpy(&bits, &flipped(4, 2), sizeof(bits));
+  bits ^= 1;
+  std::memcpy(&flipped(4, 2), &bits, sizeof(bits));
+  EXPECT_NE(Fp(FromParts(n, edges, flipped)), base);
+  Matrix zero = x, negative_zero = x;
+  zero(7, 1) = 0.0;
+  negative_zero(7, 1) = -0.0;
+  EXPECT_NE(Fp(FromParts(n, edges, zero)),
+            Fp(FromParts(n, edges, negative_zero)));
+
+  // One edge moved to another row: (0, 1) becomes (15, 1).
+  std::vector<graph::Edge> moved = edges;
+  ASSERT_EQ(moved[0].src, 0);
+  ASSERT_EQ(moved[0].dst, 1);
+  moved[0].src = 15;
+  EXPECT_NE(Fp(FromParts(n, moved, x)), base);
+
+  // One edge weight.
+  std::vector<graph::Edge> reweighted = edges;
+  reweighted[5].weight = 2.0;
+  EXPECT_NE(Fp(FromParts(n, reweighted, x)), base);
+
+  // Two nodes' feature rows swapped.
+  Matrix swapped = x;
+  for (size_t j = 0; j < x.cols(); ++j) std::swap(swapped(3, j), swapped(9, j));
+  EXPECT_NE(Fp(FromParts(n, edges, swapped)), base);
+
+  // The same doubles laid out as n x d and as d x n features.
+  std::vector<double> values(6 * 4);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = 0.25 * i;
+  EXPECT_NE(Fp(FromParts(6, {}, Matrix(6, 4, values))),
+            Fp(FromParts(4, {}, Matrix(4, 6, values))));
+}
+
+TEST(GraphFingerprintTest, FiredTokenFailsTryBuild) {
+  const graph::Graph g = Ring(30, 5, 51);
+  util::CancelToken token = util::CancelToken::WithTimeout(0.0);
+  util::ScopedCancel bind(token);
+  EXPECT_EQ(GraphPlan::TryBuild(g, 1).status().code(),
+            util::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(GraphPlan::TryBuild(g, 1, 42).status().code(),
+            util::StatusCode::kDeadlineExceeded);
 }
 
 TEST(InferenceSessionTest, RefreshWeightsTracksTrainingSteps) {

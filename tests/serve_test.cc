@@ -272,7 +272,9 @@ TEST(ResilientServerTest, DeadlineDuringPlanConstructionAborts) {
   RequestOptions request;
   request.timeout_s = 3600.0;  // real clock never fires; injected clock does
   {
-    // The very first cooperative check sits inside GraphPlan::TryBuild.
+    // Serve hashes the graph before it binds a token and hands that
+    // fingerprint to GraphPlan::TryBuild, which does not hash again, so the
+    // very first cooperative check is TryBuild's poll before it builds Â.
     ScopedFaultPlan fault(FaultPlan{.expire_deadline_at_check = 1});
     auto got = server.Serve(g, request);
     ASSERT_FALSE(got.ok());

@@ -1,7 +1,11 @@
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -40,6 +44,42 @@ TEST(StringUtilTest, Padding) {
   EXPECT_EQ(PadRight("abcdef", 3), "abc");  // truncates
   EXPECT_EQ(PadLeft("abcdef", 3), "abc");
   EXPECT_EQ(PadRight("abc", 3), "abc");
+}
+
+uint64_t DigestOf(const std::vector<uint64_t>& words) {
+  WordHash h;
+  for (uint64_t w : words) h.Add(w);
+  return h.Digest();
+}
+
+TEST(WordHashTest, BulkWordsMatchSingleWords) {
+  // Every lane phase at entry, runs shorter and longer than one 4-lane
+  // step, read from a misaligned buffer.
+  std::vector<uint64_t> words(20);
+  for (size_t i = 0; i < words.size(); ++i) {
+    words[i] = 0x0123456789abcdefull * (i + 1);
+  }
+  std::vector<unsigned char> bytes(8 * words.size() + 1);
+  std::memcpy(bytes.data() + 1, words.data(), 8 * words.size());
+  for (size_t prefix = 0; prefix < 5; ++prefix) {
+    for (size_t n = 0; prefix + n <= words.size(); ++n) {
+      WordHash bulk;
+      for (size_t i = 0; i < prefix; ++i) bulk.Add(words[i]);
+      bulk.AddWords(bytes.data() + 1 + 8 * prefix, n);
+      EXPECT_EQ(bulk.Digest(),
+                DigestOf({words.begin(), words.begin() + prefix + n}))
+          << "prefix " << prefix << " n " << n;
+    }
+  }
+}
+
+TEST(WordHashTest, SeesOrderCountAndLane) {
+  EXPECT_NE(DigestOf({}), DigestOf({0}));
+  EXPECT_NE(DigestOf({0}), DigestOf({0, 0}));
+  EXPECT_NE(DigestOf({1, 2}), DigestOf({2, 1}));
+  // The same word in lane 0 of the first and of the second 4-word step.
+  EXPECT_NE(DigestOf({7, 0, 0, 0, 0}), DigestOf({0, 0, 0, 0, 7}));
+  EXPECT_NE(DigestOf({uint64_t{1} << 63}), DigestOf({0}));
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

@@ -34,11 +34,12 @@ echo "==> UBSan build + kernel-suite ctest"
 # variants (alignment, pointer arithmetic in the packed GEMM panels, lane
 # tails), the containers they lean on, and the CSR-native sparse builders
 # (hand-written row offsets; the assignment suite holds the bitwise
-# S_kᵀ Â S_k check).
+# S_kᵀ Â S_k check), and util::WordHash (128-bit multiplies and misaligned
+# word reads, driven by the util_misc and inference_session suites).
 cmake -B build-ubsan -S . -DADAMGNN_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "${JOBS}"
 ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
-    -R 'isa|kernels|sparse_matrix|autograd_sparse|matrix|workspace|thread_pool|assignment'
+    -R 'isa|kernels|sparse_matrix|autograd_sparse|matrix|workspace|thread_pool|assignment|inference_session|util_misc'
 
 echo "==> bench smoke (small shapes; exercises the bitwise gates)"
 # The benches run their comparison passes at toy sizes: the epoch bench
